@@ -15,8 +15,8 @@ from itertools import combinations
 import numpy as np
 
 from .ensembles import Ensemble, restrict
-from .qcore import (DEFAULT_TOL, PartyLayout, is_hermitian, min_eigenvalue,
-                    same_up_to_phase)
+from .qcore import (DEFAULT_TOL, PartyLayout, density, is_hermitian, mat_to_pairs,
+                    min_eigenvalue, same_up_to_phase)
 from .simplex import simplex_maximize
 
 BOUNDARY_TOL = 1e-9
@@ -27,17 +27,9 @@ def _ket(s) -> np.ndarray:
     return np.asarray(v, dtype=np.complex128).reshape(-1)
 
 
-def _density(v: np.ndarray) -> np.ndarray:
-    return np.outer(v, v.conj())
-
-
 def _tr(rho: np.ndarray, e: np.ndarray) -> float:
     # Tr(rho e) for Hermitian factors
     return float(np.vdot(e, rho).real)
-
-
-def _mat_to_pairs(m: np.ndarray) -> list:
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +90,7 @@ class Povm:
             "name": self.name,
             "dims": list(self.layout.dims),
             "labels": list(self.labels),
-            "elements": [_mat_to_pairs(m) for m in self.elements],
+            "elements": [mat_to_pairs(m) for m in self.elements],
         }
 
 
@@ -156,7 +148,7 @@ def verify_strong(e: Ensemble, m: Povm, tol: float = DEFAULT_TOL) -> StrongRepor
         if not is_hermitian(mat, tol):
             raise ValueError(f"element {i} is not Hermitian")
 
-    rhos = {lab: _density(s) for lab, s in zip(e.labels, e.states)}
+    rhos = {lab: density(s) for lab, s in zip(e.labels, e.states)}
     failures: list[str] = []
     comp = m.completeness_residual()
     mineig = m.min_eigenvalue()
@@ -351,7 +343,7 @@ def qubit_antidist_lp(states, labels=None, tol: float = DEFAULT_TOL) -> Verdict:
             owner.append(len(reps))
             reps.append(i)
     mult = [owner.count(r) for r in range(len(reps))]
-    projs = [_density(vecs[j]) for j in reps]
+    projs = [density(vecs[j]) for j in reps]
 
     status, weights, t = _min_weight_completion(projs)
     if status == "infeasible":
@@ -362,7 +354,7 @@ def qubit_antidist_lp(states, labels=None, tol: float = DEFAULT_TOL) -> Verdict:
         return Verdict("NO", "qubit_lp", margins=[t], alphas=alphas,
                        detail=f"best smallest weight {t:.3e} is not positive")
 
-    elements = [a * (np.eye(2) - _density(v)) for a, v in zip(alphas, vecs)]
+    elements = [a * (np.eye(2) - density(v)) for a, v in zip(alphas, vecs)]
     povm = Povm(PartyLayout((2,)), elements, labels, name="antipode witness")
     check = Ensemble("qubit set", PartyLayout((2,)), labels, vecs)
     rep = verify_strong(check, povm, tol=max(tol, 1e-10))
@@ -408,95 +400,7 @@ def compose_union(e: Ensemble, parts, tol: float = DEFAULT_TOL) -> Povm:
 
 
 # ---------------------------------------------------------------------------
-# alternating-projection feasibility search
-
-
-class _AffineProjector:
-    """Orthogonal projector onto {(E_j): sum E_j = I, Tr(rho E_j) = 0 for the
-    listed densities}, in the Frobenius geometry of Hermitian tuples."""
-
-    def __init__(self, forbidden: list[list[np.ndarray]], dim: int):
-        self.k = len(forbidden)
-        self.dim = dim
-        self.pairs = [(j, np.asarray(r, dtype=np.complex128))
-                      for j, group in enumerate(forbidden) for r in group]
-        n = len(self.pairs)
-        m = np.zeros((n, n))
-        for a, (j, ra) in enumerate(self.pairs):
-            for b, (i, rb) in enumerate(self.pairs):
-                ip = float(np.vdot(ra, rb).real)
-                m[a, b] = (ip if i == j else 0.0) - ip / self.k
-        self.solver = np.linalg.pinv(m, rcond=1e-12)
-
-    def project(self, stack: np.ndarray) -> np.ndarray:
-        # stack has shape (k, dim, dim)
-        resid = np.eye(self.dim) - stack.sum(axis=0)
-        rhs = np.empty(len(self.pairs))
-        for a, (j, r) in enumerate(self.pairs):
-            rhs[a] = -float(np.vdot(r, stack[j]).real) - float(np.vdot(r, resid).real) / self.k
-        mu = self.solver @ rhs
-        shift = np.zeros_like(stack)
-        for a, (j, r) in enumerate(self.pairs):
-            shift[j] += mu[a] * r
-        lam = (resid - shift.sum(axis=0)) / self.k
-        return stack + lam[None, :, :] + shift
-
-    def residual(self, stack: np.ndarray) -> float:
-        comp = float(np.max(np.abs(stack.sum(axis=0) - np.eye(self.dim))))
-        excl = max((abs(float(np.vdot(r, stack[j]).real)) for j, r in self.pairs),
-                   default=0.0)
-        return max(comp, excl)
-
-
-def _psd_clip(stack: np.ndarray) -> np.ndarray:
-    h = (stack + np.conj(np.swapaxes(stack, 1, 2))) / 2
-    w, v = np.linalg.eigh(h)
-    w = np.clip(w, 0.0, None)
-    return (v * w[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
-
-
-def _dr_run(proj: _AffineProjector, iters: int, tol: float,
-            rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """Douglas-Rachford splitting between the PSD cone and the affine set.
-
-    Returns the best PSD iterate seen together with its constraint residual;
-    callers decide whether that residual is small enough.  Stops early once
-    the residual drops below tol or stalls for 400 consecutive checks.
-    """
-    k, d = proj.k, proj.dim
-    g = rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d))
-    x = np.einsum("jab,jcb->jac", g, g.conj())
-    x *= d / max(float(np.einsum("jaa->", x).real), 1e-12)
-
-    best = np.inf
-    best_stack = _psd_clip(x)
-    since_best = 0
-    for _ in range(iters):
-        y = _psd_clip(x)
-        res = proj.residual(y)
-        if res < best * 0.99:
-            best = res
-            best_stack = y
-            since_best = 0
-        else:
-            since_best += 1
-        if res < tol:
-            return y, res
-        if since_best > 400:
-            break
-        x = x + proj.project(2.0 * y - x) - y
-    return best_stack, best
-
-
-def _dr_feasible(forbidden: list[list[np.ndarray]], dim: int, restarts: int,
-                 iters: int, tol: float, seed: int):
-    """Yield feasible PSD tuples from successive deterministic restarts."""
-    proj = _AffineProjector(forbidden, dim)
-    for r in range(restarts):
-        rng = np.random.default_rng(seed + 7919 * r)
-        cand, res = _dr_run(proj, iters, tol, rng)
-        if res < tol:
-            yield [cand[j] for j in range(proj.k)]
+# feasibility core
 
 
 def _orthocomplement(vectors: list[np.ndarray], dim: int) -> np.ndarray:
@@ -507,19 +411,21 @@ def _orthocomplement(vectors: list[np.ndarray], dim: int) -> np.ndarray:
     return u[:, rank:]
 
 
-def _support_feasible(groups: list[list[np.ndarray]], dim: int,
-                      restarts: int = 3, iters: int = 4000,
-                      tol: float = 1e-12, seed: int = 0
+def _support_feasible(groups: list[list[np.ndarray]], dim: int, tol: float,
+                      restarts: int = 3, iters: int = 4000, seed: int = 0
                       ) -> list[np.ndarray] | None:
     """POVM whose j-th element is supported on the orthocomplement of the
     j-th ket group, so the group exclusions hold exactly by construction.
 
-    Works in the reduced coordinates of one Hermitian block per support and
-    runs Douglas-Rachford between the per-block PSD cones and the affine
-    completeness constraint.  Because exclusion is structural, tangency of
-    the exclusion equalities with the PSD cone cannot slow the iteration;
-    a stall here means the completeness target is out of reach.  Returns
-    the full-dimension elements, or None when no restart closes the gap.
+    The package's one feasibility solver.  Works in the reduced coordinates
+    of one Hermitian block per support and runs Douglas-Rachford between the
+    per-block PSD cones and the affine completeness constraint.  Because
+    exclusion is structural, tangency of the exclusion equalities with the
+    PSD cone cannot slow the iteration; a stall here means the completeness
+    target is out of reach.  Stops once the largest completeness deviation
+    (real and imaginary parts) drops below tol, which callers set to a tenth
+    of the tolerance they verify at.  Returns the full-dimension elements,
+    or None when no restart closes the gap.
     """
     bases = [_orthocomplement(g, dim) for g in groups]
     blocks = [_hermitian_basis(b.shape[1]) for b in bases]
@@ -591,171 +497,28 @@ def _hermitian_basis(d: int) -> list[np.ndarray]:
     return out
 
 
-def _unitary_exp(k: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(k)
-    return (v * np.exp(1j * w)) @ v.conj().T
-
-
-def _projective_polish(cand: np.ndarray, states: list[np.ndarray],
-                       warmup: int = 60, newton_iters: int = 40
-                       ) -> list[np.ndarray] | None:
-    """Round a near-feasible stack to an exact antidistinguishing basis.
-
-    Applies when the state count equals the dimension, so a feasible point
-    can be a projective measurement: rows of a unitary with the j-th row
-    orthogonal to state j.  First alternates exact per-row exclusion with
-    closest-unitary rounding, then drives the remaining overlaps to machine
-    zero with damped Gauss-Newton steps along the unitary group.  The result
-    is exactly complete by construction; returns None if the overlaps do not
-    collapse, which signals no projective solution near the candidate.
-    """
-    d = len(states)
-    w = np.stack([np.linalg.eigh(cand[j])[1][:, -1] for j in range(d)])
-    for _ in range(warmup):
-        for j in range(d):
-            w[j] -= states[j] * np.vdot(states[j], w[j])
-        u, _, vt = np.linalg.svd(w)
-        w = u @ vt
-
-    basis = _hermitian_basis(d)
-    jac = np.zeros((2 * d, len(basis)))
-    for _ in range(newton_iters):
-        f = np.array([np.vdot(states[j], w[j]) for j in range(d)])
-        off = float(np.max(np.abs(f)))
-        if off < 1e-13:
-            break
-        for p, b in enumerate(basis):
-            dv = np.array([1j * np.vdot(states[j], b @ w[j]) for j in range(d)])
-            jac[:d, p] = dv.real
-            jac[d:, p] = dv.imag
-        theta = np.linalg.lstsq(jac, np.concatenate([-f.real, -f.imag]),
-                                rcond=None)[0]
-        gen = np.zeros((d, d), dtype=np.complex128)
-        for t, b in zip(theta, basis):
-            gen += t * b
-        step = 1.0
-        for _ in range(6):
-            trial = (_unitary_exp(step * gen) @ w.T).T
-            if max(abs(np.vdot(states[j], trial[j])) for j in range(d)) < off:
-                w = trial
-                break
-            step *= 0.5
-        else:
-            break
-    if max(abs(np.vdot(states[j], w[j])) for j in range(d)) >= 1e-9:
-        return None
-    return [np.outer(w[j], np.conj(w[j])) for j in range(d)]
-
-
-def search_exclusion_povm(e: Ensemble, restarts: int = 64, iters: int = 5000,
-                          tol: float = 1e-10, seed: int = 0,
-                          verify_tol: float = 1e-8) -> Povm | None:
+def search_exclusion_povm(e: Ensemble, restarts: int = 3, iters: int = 4000,
+                          seed: int = 0, verify_tol: float = 1e-8) -> Povm | None:
     """Numerical search for a strong exclusion measurement on the ensemble.
 
-    First pass: each element is parameterized inside the orthogonal
-    complement of its target state, so the exclusions hold by construction
-    and only completeness remains affine; that solves the well-conditioned
-    instances in a few iterations.  Fallback: Douglas-Rachford splitting in
-    the full space between the affine set (completeness plus the per-state
-    exclusion equalities) and the PSD cone, restarting from deterministic
-    seeds.  When the state count equals the dimension and the splitting
-    stalls short of tol, a projective polish is attempted, which rescues
-    instances whose only solutions are exclusion bases touching the cone
-    tangentially.  Candidates count only if verify_strong passes at
-    verify_tol; returns None when no restart certifies.
+    One call of the feasibility core: each element is parameterized inside
+    the orthogonal complement of its target state, so the exclusions hold by
+    construction and only completeness is searched for, with ``restarts``
+    deterministic restarts of at most ``iters`` iterations each.  The
+    candidate counts only if verify_strong passes at verify_tol; returns
+    None when the core finds nothing or the check fails.
     """
-    dim = e.layout.dim
-    states = [np.asarray(s, dtype=np.complex128) for s in e.states]
-    quick = _support_feasible([[s] for s in states], dim,
-                              restarts=min(3, restarts), iters=min(4000, iters),
-                              seed=seed)
-    if quick is not None:
-        povm = Povm(e.layout, quick, list(e.labels), name="search certificate")
-        if verify_strong(e, povm, tol=verify_tol).passed:
-            return povm
-    forbidden = [[_density(s)] for s in e.states]
-    proj = _AffineProjector(forbidden, dim)
-    for r in range(restarts):
-        rng = np.random.default_rng(seed + 7919 * r)
-        cand, res = _dr_run(proj, iters, tol, rng)
-        elements: list[np.ndarray] | None = None
-        if res < tol:
-            elements = [cand[j] for j in range(proj.k)]
-        elif len(states) == dim and res < 1e-4:
-            elements = _projective_polish(cand, states)
-        if elements is None:
-            continue
-        povm = Povm(e.layout, elements, list(e.labels), name="search certificate")
-        rep = verify_strong(e, povm, tol=verify_tol)
-        if rep.passed:
-            return povm
-    return None
+    found = _support_feasible([[s] for s in e.states], e.layout.dim,
+                              tol=verify_tol / 10, restarts=restarts,
+                              iters=iters, seed=seed)
+    if found is None:
+        return None
+    povm = Povm(e.layout, found, list(e.labels), name="search certificate")
+    return povm if verify_strong(e, povm, tol=verify_tol).passed else None
 
 
 # ---------------------------------------------------------------------------
 # certified measurement for a passing triple
-
-
-def _orthonormal_complement(y: np.ndarray) -> np.ndarray:
-    """Columns form an orthonormal basis of the orthogonal complement of y."""
-    d = y.size
-    full = np.linalg.qr(np.column_stack([y] + [np.eye(d)[:, i] for i in range(d)]),
-                        mode="reduced")[0]
-    return full[:, 1:d]
-
-
-def _conj_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # orthogonal (Hermitian inner product) to both a and b in C^3
-    return np.conj(np.cross(a, b))
-
-
-def _triad_candidate(t: float, phi: float, u1: np.ndarray, u2: np.ndarray,
-                     y2: np.ndarray, y3: np.ndarray):
-    w1 = math.cos(t) * u1 + math.sin(t) * np.exp(1j * phi) * u2
-    c2 = _conj_cross(y2, w1)
-    n2 = np.linalg.norm(c2)
-    if n2 < 1e-10:
-        return None
-    w2 = c2 / n2
-    c3 = _conj_cross(w1, w2)
-    w3 = c3 / np.linalg.norm(c3)
-    return w1, w2, w3, abs(np.vdot(y3, w3))
-
-
-def _search_triad(ys: list[np.ndarray], grid: int = 72):
-    """Orthonormal triad (w1, w2, w3) in C^3 with <y_j|w_j> = 0 for all j."""
-    y1, y2, y3 = ys
-    comp = _orthonormal_complement(y1)
-    u1, u2 = comp[:, 0], comp[:, 1]
-    ts = np.linspace(0.0, math.pi / 2, grid)
-    phis = np.linspace(0.0, 2 * math.pi, grid, endpoint=False)
-    seeds = []
-    for t in ts:
-        for phi in phis:
-            cand = _triad_candidate(t, phi, u1, u2, y2, y3)
-            if cand is not None:
-                seeds.append((cand[3], t, phi))
-    seeds.sort(key=lambda s: s[0])
-    for _, t0, phi0 in seeds[:8]:
-        t, phi = t0, phi0
-        val = _triad_candidate(t, phi, u1, u2, y2, y3)[3]
-        h = math.pi / grid
-        budget = 4000  # bounds the descent on plateaus with no exact zero
-        while h > 1e-13 and val > 1e-13 and budget > 0:
-            budget -= 1
-            moved = False
-            for dt, dphi in ((h, 0), (-h, 0), (0, h), (0, -h)):
-                cand = _triad_candidate(t + dt, phi + dphi, u1, u2, y2, y3)
-                if cand is not None and cand[3] < val:
-                    t, phi, val = t + dt, phi + dphi, cand[3]
-                    moved = True
-                    break
-            if not moved:
-                h /= 2
-        if val <= 1e-11:
-            w1, w2, w3, _ = _triad_candidate(t, phi, u1, u2, y2, y3)
-            return [w1, w2, w3]
-    return None
 
 
 def povm_from_caves_triple(states, labels=None, layout: PartyLayout | None = None,
@@ -765,11 +528,11 @@ def povm_from_caves_triple(states, labels=None, layout: PartyLayout | None = Non
 
     The problem is solved inside the span of the states: a two-dimensional
     span reduces to the single-qubit weight program, a three-dimensional one
-    to a feasibility solve with each element confined to its state's
-    orthogonal complement, falling back to an orthonormal-triad search for
-    instances whose only solutions are projective.  The orthogonal complement
-    of the span is split evenly across the elements; the result must pass
-    verify_strong or a RuntimeError reports the failure.
+    to one call of the feasibility core with each element confined to its
+    state's orthogonal complement.  The orthogonal complement of the span is
+    split evenly across the elements; the result must pass verify_strong at
+    max(tol, 1e-10), and a RuntimeError reports a core that finds nothing or
+    a certificate that fails.
     """
     vecs = [_ket(s) for s in states]
     rep = caves_criterion(vecs)
@@ -781,6 +544,7 @@ def povm_from_caves_triple(states, labels=None, layout: PartyLayout | None = Non
     d = vecs[0].size
     if layout is None:
         layout = PartyLayout((d,))
+    check_tol = max(tol, 1e-10)
 
     stack = np.stack(vecs)
     _, svals, vh = np.linalg.svd(stack)
@@ -791,24 +555,13 @@ def povm_from_caves_triple(states, labels=None, layout: PartyLayout | None = Non
 
     small: list[np.ndarray] | None = None
     if r == 2:
-        status, weights, _ = _min_weight_completion([_density(y) for y in ys])
+        status, weights, _ = _min_weight_completion([density(y) for y in ys])
         if status == "optimal" and min(weights) > -tol:
-            small = [max(w, 0.0) * (np.eye(2) - _density(y))
+            small = [max(w, 0.0) * (np.eye(2) - density(y))
                      for w, y in zip(weights, ys)]
     else:
-        small = _support_feasible([[y] for y in ys], r, restarts=3,
-                                  iters=4000, seed=seed)
-        if small is None:
-            triad = _search_triad(ys)
-            if triad is not None:
-                small = [_density(w) for w in triad]
-    if small is None:
-        # last resort: full-space feasibility search inside the span
-        forbidden = [[_density(y)] for y in ys]
-        for cand in _dr_feasible(forbidden, r, restarts=4, iters=3000,
-                                 tol=1e-11, seed=seed):
-            small = cand
-            break
+        small = _support_feasible([[y] for y in ys], r, tol=check_tol / 10,
+                                  seed=seed)
     if small is None:
         raise RuntimeError("no exclusion measurement found inside the span")
 
@@ -816,7 +569,7 @@ def povm_from_caves_triple(states, labels=None, layout: PartyLayout | None = Non
     elements = [basis @ f @ basis.conj().T + rest for f in small]
     povm = Povm(layout, elements, labels, name="triple exclusion")
     check = Ensemble("triple", layout, labels, vecs)
-    report = verify_strong(check, povm, tol=max(tol, 1e-10))
+    report = verify_strong(check, povm, tol=check_tol)
     if not report.passed:
         raise RuntimeError(f"triple certificate failed verification: {report.failures[:2]}")
     return povm
@@ -854,7 +607,7 @@ def exclusion_counts(e: Ensemble, m: Povm, tol: float = DEFAULT_TOL) -> Exclusio
         raise ValueError("POVM elements must be Hermitian")
     if m.completeness_residual() > 1e-8 or m.min_eigenvalue() < -1e-8:
         raise ValueError("not a POVM: completeness or positivity fails")
-    rhos = [_density(s) for s in e.states]
+    rhos = [density(s) for s in e.states]
     rows: list[OutcomeExclusions] = []
     for i, (mat, lab) in enumerate(zip(m.elements, m.labels)):
         per = [_tr(r, mat) for r in rhos]
@@ -903,7 +656,7 @@ def _as_ensemble(obj) -> Ensemble:
 
 
 def decide_antidist(ensemble, tol: float = DEFAULT_TOL, seed: int = 0,
-                    restarts: int = 16, iters: int = 4000,
+                    restarts: int = 3, iters: int = 4000,
                     max_covers: int = 32) -> Verdict:
     """Decide strong antidistinguishability of an ensemble of pure states.
 

@@ -17,7 +17,8 @@ from itertools import product
 import numpy as np
 
 from .ensembles import Ensemble
-from .qcore import DEFAULT_TOL, DataError, PartyLayout, min_eigenvalue
+from .qcore import (DEFAULT_TOL, DataError, PartyLayout, density, mat_to_pairs,
+                    min_eigenvalue)
 
 KINDS = ("one_round_product", "two_round_sequential", "randomized_mixture")
 
@@ -27,10 +28,6 @@ def _mat(m, dim: int, what: str) -> np.ndarray:
     if m.shape != (dim, dim):
         raise ValueError(f"{what}: expected shape {(dim, dim)}, got {m.shape}")
     return m
-
-
-def _mat_pairs(m: np.ndarray) -> list:
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
 
 
 def _povm_sane(els: list[np.ndarray], dim: int, tol: float, what: str) -> None:
@@ -505,15 +502,10 @@ def build_pairwise_lad_protocol(e: Ensemble, tol: float = DEFAULT_TOL) -> LoccPr
 # worked protocols for the catalog ensembles
 
 
-def _proj(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=np.complex128)
-    return np.outer(v, v.conj())
-
-
 def bell_exclusion_protocol() -> LoccProtocol:
     """Both parties measure the computational basis; each joint outcome rules
     out one maximally entangled state."""
-    basis = [_proj([1, 0]), _proj([0, 1])]
+    basis = [density([1, 0]), density([0, 1])]
     table = {(0, 0): ("Psi+",), (0, 1): ("Phi+",),
              (1, 0): ("Phi-",), (1, 1): ("Psi-",)}
     return LoccProtocol("one_round_product", PartyLayout((2, 2)),
@@ -525,8 +517,8 @@ def bennett_exclusion_protocol() -> LoccProtocol:
     """Per-party three-outcome bases whose nine joint outcomes each rule out
     one of the nine orthogonal product states on two qutrits."""
     s = 1.0 / math.sqrt(2.0)
-    alice = [_proj([s, s, 0]), _proj([s, -s, 0]), _proj([0, 0, 1])]
-    bob = [_proj([1, 0, 0]), _proj([0, s, s]), _proj([0, s, -s])]
+    alice = [density([s, s, 0]), density([s, -s, 0]), density([0, 0, 1])]
+    bob = [density([1, 0, 0]), density([0, s, s]), density([0, s, -s])]
     table = {
         (0, 0): ("b8",), (0, 1): ("b4",), (0, 2): ("b5",),
         (1, 0): ("b9",), (1, 1): ("b7",), (1, 2): ("b6",),
@@ -541,7 +533,7 @@ def double_sic_exclusion_protocol() -> LoccProtocol:
     """Alice alone measures the scaled antipodes of the four symmetric kets;
     her outcome rules out the matching antiparallel pair."""
     from .ensembles import qubit_perp, sic_kets
-    alice = [0.5 * _proj(qubit_perp(v)) for v in sic_kets()]
+    alice = [0.5 * density(qubit_perp(v)) for v in sic_kets()]
     table = {(i, 0): (f"g{i + 1}",) for i in range(4)}
     return LoccProtocol("one_round_product", PartyLayout((2, 2)),
                         party_povms=[alice, [np.eye(2, dtype=np.complex128)]],
@@ -552,7 +544,7 @@ def nl1_identification_povms() -> list[list[np.ndarray]]:
     """Per-party four-outcome POVM that conclusively identifies each member of
     the three-state nonlocal product ensemble."""
     from .ensembles import IMINUS, KET1, MINUS
-    third = [_proj(KET1) / 3.0, _proj(MINUS) / 3.0, _proj(IMINUS) / 3.0]
+    third = [density(KET1) / 3.0, density(MINUS) / 3.0, density(IMINUS) / 3.0]
     rest = np.eye(2) - sum(third)
     povm = third + [rest]
     return [povm, [m.copy() for m in povm]]
@@ -562,8 +554,8 @@ def nl2_identification_povms(theta: float) -> list[list[np.ndarray]]:
     """Three-party POVMs conclusively identifying the tilted triple: two
     computational readouts and one tilted basis readout."""
     from .ensembles import angle_ket, qubit_perp
-    comp = [_proj([1, 0]), _proj([0, 1])]
-    tilted = [_proj(angle_ket(theta)), _proj(qubit_perp(angle_ket(theta)))]
+    comp = [density([1, 0]), density([0, 1])]
+    tilted = [density(angle_ket(theta)), density(qubit_perp(angle_ket(theta)))]
     return [comp, [m.copy() for m in comp], tilted]
 
 
@@ -649,11 +641,11 @@ def _protocol_doc(p: LoccProtocol) -> dict:
     if p.name:
         doc["name"] = p.name
     if p.kind == "one_round_product":
-        doc["parties"] = [{"povm": [_mat_pairs(m) for m in povm]}
+        doc["parties"] = [{"povm": [mat_to_pairs(m) for m in povm]}
                           for povm in p.party_povms]
     elif p.kind == "two_round_sequential":
-        doc["parties"] = [{"povm": [_mat_pairs(m) for m in p.first_povm]}]
-        doc["responses"] = [[_mat_pairs(m) for m in povm] for povm in p.responses]
+        doc["parties"] = [{"povm": [mat_to_pairs(m) for m in p.first_povm]}]
+        doc["responses"] = [[mat_to_pairs(m) for m in povm] for povm in p.responses]
     else:
         doc["mixture"] = [{"weight": w, "protocol": _protocol_doc(c)}
                           for w, c in p.mixture]

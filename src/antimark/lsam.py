@@ -278,7 +278,7 @@ def theta_global_measurement(theta: float, tol: float = DEFAULT_TOL,
             povm = Povm(layout, els, name=f"tilted pair exclusion (theta={theta:g})")
             return ThetaMeasurement(theta, povm, PAIR_MAP, False, reflected)
     groups = [[states[pat] for pat in pair] for pair in PAIR_MAP]
-    els = _support_feasible(groups, 4, restarts=3, iters=4000, seed=seed)
+    els = _support_feasible(groups, 4, tol=1e-10, seed=seed)
     if els is not None and _theta_family_ok(els, states, 1e-9):
         povm = Povm(layout, els,
                     name=f"synthesized pair exclusion (theta={theta:g})")

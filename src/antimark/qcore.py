@@ -192,6 +192,17 @@ def min_eigenvalue(mat: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(mat)[0])
 
 
+def density(v) -> np.ndarray:
+    """|v><v| for a ket given as any 1-d array-like."""
+    v = np.asarray(v, dtype=np.complex128)
+    return np.outer(v, v.conj())
+
+
+def mat_to_pairs(m: np.ndarray) -> list:
+    """A complex matrix as nested [real, imag] pairs, for JSON output."""
+    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+
+
 def canonical_phase(vec: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Rotate a vector's global phase so its first non-negligible entry is positive real."""
     v = np.asarray(vec, dtype=np.complex128)

@@ -148,6 +148,36 @@ def test_triple_certificate_random_passing_triples():
     assert built >= 10
 
 
+def boundary_gram_triple(x12, x13, phi):
+    """Columns of G^(1/2) for the Gram matrix with squared overlaps x12, x13
+    and the smaller x23 that puts the triple on the quartic equality."""
+    a, p = 1.0 - x12 - x13, x12 * x13
+    x23 = a + 2.0 * p - 2.0 * math.sqrt(p * (a + p))
+    g = np.array([[1.0, math.sqrt(x12), math.sqrt(x13)],
+                  [math.sqrt(x12), 1.0, math.sqrt(x23) * np.exp(1j * phi)],
+                  [math.sqrt(x13), math.sqrt(x23) * np.exp(-1j * phi), 1.0]])
+    w, v = np.linalg.eigh(g)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    return [root[:, j] for j in range(3)]
+
+
+@pytest.mark.parametrize("states", [
+    # overlap phases just short of pi: the smallest Gram eigenvalue is ~1e-6
+    boundary_gram_triple(0.39367781186581313, 0.5409037808457999, 3.1333575993144986),
+    # real symmetric triple with every overlap 1/2
+    boundary_gram_triple(0.25, 0.25, 0.0),
+], ids=["near-degenerate", "symmetric"])
+def test_rank_three_triples_on_the_quartic_boundary(states):
+    assert np.linalg.matrix_rank(np.column_stack(states), tol=1e-9) == 3
+    rep = caves_criterion(states)
+    assert rep.passed
+    assert abs(rep.quartic_lhs - rep.quartic_rhs) <= 1e-12
+    e = Ensemble("boundary", PartyLayout((3,)), ["s0", "s1", "s2"], states)
+    v = decide_antidist(e)
+    assert (v.decision, v.method) == ("YES", "caves")
+    assert verify_strong(e, v.certificate, tol=1e-9).passed
+
+
 def test_triple_certificate_rejects_failing_triple():
     with pytest.raises(ValueError):
         povm_from_caves_triple(weak3().states)
