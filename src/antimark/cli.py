@@ -172,11 +172,6 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
-def _is_orthogonal(e) -> bool:
-    return all(abs(np.vdot(e.states[a], e.states[b])) <= 1e-10
-               for a in range(e.n_states) for b in range(a + 1, e.n_states))
-
-
 def _cmd_check_antidist(args) -> int:
     e = _load_ensemble(args)
     tol = _tolerance(args)
@@ -187,7 +182,7 @@ def _cmd_check_antidist(args) -> int:
     else:
         if e.layout.n_parties < 2:
             raise DataError("local mode needs an ensemble with at least two parties")
-        if _is_orthogonal(e):
+        if e.is_orthogonal:
             proto = build_pairwise_lad_protocol(e, tol=tol)
             rep = verify_local_protocol(e, proto, tol=tol)
             if not rep.passed:

@@ -110,12 +110,15 @@ class Ensemble:
     def is_product(self) -> bool:
         return self.factors is not None
 
+    @property
+    def is_orthogonal(self) -> bool:
+        """Every pair of distinct states overlaps by at most 1e-10 in modulus."""
+        vecs = np.array(self.states)
+        gram = np.abs(vecs.conj() @ vecs.T)
+        return bool(np.all(gram[~np.eye(self.n_states, dtype=bool)] <= 1e-10))
+
     def state_of(self, label: str) -> np.ndarray:
         return self.states[self.labels.index(label)]
-
-    def density(self, label: str) -> np.ndarray:
-        v = self.state_of(label)
-        return np.outer(v, v.conj())
 
 
 def product_ensemble(name, layout, labels, factor_rows) -> Ensemble:

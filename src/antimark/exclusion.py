@@ -15,21 +15,15 @@ from itertools import combinations
 import numpy as np
 
 from .ensembles import Ensemble, restrict
-from .qcore import (DEFAULT_TOL, PartyLayout, density, is_hermitian, mat_to_pairs,
-                    min_eigenvalue, same_up_to_phase)
+from .qcore import (DEFAULT_TOL, PartyLayout, density, mat_to_pairs, outcome_table,
+                    povm_residuals, same_up_to_phase)
 from .simplex import simplex_maximize
 
 BOUNDARY_TOL = 1e-9
 
 
 def _ket(s) -> np.ndarray:
-    v = s.amps if hasattr(s, "amps") else s
-    return np.asarray(v, dtype=np.complex128).reshape(-1)
-
-
-def _tr(rho: np.ndarray, e: np.ndarray) -> float:
-    # Tr(rho e) for Hermitian factors
-    return float(np.vdot(e, rho).real)
+    return np.asarray(s, dtype=np.complex128).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -68,22 +62,6 @@ class Povm:
             self.labels = list(self.labels)
         if len(self.labels) != len(mats):
             raise ValueError("labels and elements must have equal length")
-
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.elements)
-
-    def completeness_residual(self) -> float:
-        total = np.zeros((self.layout.dim,) * 2, dtype=np.complex128)
-        for m in self.elements:
-            total = total + m
-        return float(np.max(np.abs(total - np.eye(self.layout.dim))))
-
-    def hermiticity_residual(self) -> float:
-        return max(float(np.max(np.abs(m - m.conj().T))) for m in self.elements)
-
-    def min_eigenvalue(self) -> float:
-        return min(min_eigenvalue((m + m.conj().T) / 2) for m in self.elements)
 
     def to_dict(self) -> dict:
         return {
@@ -144,29 +122,29 @@ def verify_strong(e: Ensemble, m: Povm, tol: float = DEFAULT_TOL) -> StrongRepor
     missing = [lab for lab in e.labels if lab not in carried]
     if missing:
         raise ValueError(f"no element is dedicated to excluding: {missing}")
-    for i, mat in enumerate(m.elements):
-        if not is_hermitian(mat, tol):
-            raise ValueError(f"element {i} is not Hermitian")
+    els = np.asarray(m.elements)
+    herm, comp, mineig = povm_residuals(els)
+    if np.any(herm > tol):
+        raise ValueError(f"element {int(np.argmax(herm > tol))} is not Hermitian")
 
-    rhos = {lab: density(s) for lab, s in zip(e.labels, e.states)}
     failures: list[str] = []
-    comp = m.completeness_residual()
-    mineig = m.min_eigenvalue()
     povm_ok = comp <= tol and mineig >= -tol
     if comp > tol:
         failures.append(f"completeness residual {comp:.3e} exceeds tol")
     if mineig < -tol:
         failures.append(f"minimum eigenvalue {mineig:.3e} below -tol")
 
+    table = outcome_table(els, e.states)
+    firings = table.sum(axis=1)
+    zeros = np.max(np.abs(els), axis=(1, 2)) <= tol
+    column = {lab: j for j, lab in enumerate(e.labels)}
     rows: list[OutcomeReport] = []
     fired = {lab: False for lab in e.labels}
     cond1 = True
-    for i, (mat, lab) in enumerate(zip(m.elements, m.labels)):
-        zero = float(np.max(np.abs(mat))) <= tol
-        per = {x: _tr(rhos[x], mat) for x in e.labels}
-        firing = float(sum(per.values()))
-        excluded = tuple(x for x in e.labels if per[x] <= tol)
-        resid = per[lab] if lab is not None else None
+    for i, lab in enumerate(m.labels):
+        zero, firing = bool(zeros[i]), float(firings[i])
+        excluded = tuple(x for x, p in zip(e.labels, table[i]) if p <= tol)
+        resid = float(table[i, column[lab]]) if lab is not None else None
         if lab is not None and resid > tol:
             cond1 = False
             failures.append(f"element {i} does not exclude {lab!r}: residual {resid:.3e}")
@@ -603,18 +581,18 @@ def exclusion_counts(e: Ensemble, m: Povm, tol: float = DEFAULT_TOL) -> Exclusio
     """
     if m.layout.dims != e.layout.dims:
         raise ValueError("POVM layout does not match the ensemble layout")
-    if m.hermiticity_residual() > 1e-8:
+    herm, comp, mineig = povm_residuals(m.elements)
+    if np.max(herm) > 1e-8:
         raise ValueError("POVM elements must be Hermitian")
-    if m.completeness_residual() > 1e-8 or m.min_eigenvalue() < -1e-8:
+    if comp > 1e-8 or mineig < -1e-8:
         raise ValueError("not a POVM: completeness or positivity fails")
-    rhos = [density(s) for s in e.states]
+    table = outcome_table(m.elements, e.states)
     rows: list[OutcomeExclusions] = []
-    for i, (mat, lab) in enumerate(zip(m.elements, m.labels)):
-        per = [_tr(r, mat) for r in rhos]
-        firing = float(sum(per))
+    for i, (per, lab) in enumerate(zip(table, m.labels)):
+        firing = float(per.sum())
         if firing <= tol:
             continue
-        excluded = tuple(lab for lab, p in zip(e.labels, per) if p <= tol)
+        excluded = tuple(x for x, p in zip(e.labels, per) if p <= tol)
         rows.append(OutcomeExclusions(i, lab, firing, excluded))
     if not rows:
         raise ValueError("no outcome fires under the uniform mixture")
@@ -651,8 +629,8 @@ def _as_ensemble(obj) -> Ensemble:
     vecs = [_ket(s) for s in obj]
     if len(vecs) < 2:
         raise ValueError("need at least two states")
-    layout = getattr(obj[0], "layout", None) or PartyLayout((vecs[0].size,))
-    return Ensemble("states", layout, [f"s{i}" for i in range(len(vecs))], vecs)
+    return Ensemble("states", PartyLayout((vecs[0].size,)),
+                    [f"s{i}" for i in range(len(vecs))], vecs)
 
 
 def decide_antidist(ensemble, tol: float = DEFAULT_TOL, seed: int = 0,

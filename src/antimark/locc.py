@@ -18,7 +18,7 @@ import numpy as np
 
 from .ensembles import Ensemble
 from .qcore import (DEFAULT_TOL, DataError, PartyLayout, density, mat_to_pairs,
-                    min_eigenvalue)
+                    outcome_table, povm_residuals)
 
 KINDS = ("one_round_product", "two_round_sequential", "randomized_mixture")
 
@@ -30,15 +30,15 @@ def _mat(m, dim: int, what: str) -> np.ndarray:
     return m
 
 
-def _povm_sane(els: list[np.ndarray], dim: int, tol: float, what: str) -> None:
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    for i, m in enumerate(els):
-        if float(np.max(np.abs(m - m.conj().T))) > tol:
-            raise ValueError(f"{what}: element {i} is not Hermitian")
-        if min_eigenvalue((m + m.conj().T) / 2) < -tol:
-            raise ValueError(f"{what}: element {i} is not positive")
-        total += m
-    if float(np.max(np.abs(total - np.eye(dim)))) > tol:
+def _povm_sane(els: list[np.ndarray], tol: float, what: str) -> None:
+    if not els:
+        raise ValueError(f"{what}: no elements")
+    herm, comp, mineig = povm_residuals(els)
+    if np.any(herm > tol):
+        raise ValueError(f"{what}: element {int(np.argmax(herm > tol))} is not Hermitian")
+    if mineig < -tol:
+        raise ValueError(f"{what}: an element is not positive (eigenvalue {mineig:.3e})")
+    if comp > tol:
         raise ValueError(f"{what}: elements do not sum to the identity")
 
 
@@ -145,12 +145,11 @@ def _mapped_outcomes(p: LoccProtocol) -> set[tuple[int, ...]]:
 def _validate_pieces(p: LoccProtocol, tol: float) -> None:
     if p.kind == "one_round_product":
         for q, povm in enumerate(p.party_povms):
-            _povm_sane(povm, p.layout.dims[q], tol, f"party {q} POVM")
+            _povm_sane(povm, tol, f"party {q} POVM")
     elif p.kind == "two_round_sequential":
-        rest = int(np.prod(p.layout.dims[1:]))
-        _povm_sane(p.first_povm, p.layout.dims[0], tol, "first-party POVM")
+        _povm_sane(p.first_povm, tol, "first-party POVM")
         for i, povm in enumerate(p.responses):
-            _povm_sane(povm, rest, tol, f"response POVM {i}")
+            _povm_sane(povm, tol, f"response POVM {i}")
     else:
         for _, comp in p.mixture:
             _validate_pieces(comp, tol)
@@ -204,42 +203,40 @@ def verify_local_protocol(e: Ensemble, p: LoccProtocol,
     if stale:
         raise ValueError(f"exclusion map names outcomes that never occur: {sorted(stale)}")
 
-    rhos = {lab: np.outer(s, s.conj()) for lab, s in zip(e.labels, e.states)}
-    n = e.n_states
-    known = set(e.labels)
-
-    total = np.zeros((e.layout.dim,) * 2, dtype=np.complex128)
+    els = np.asarray([f.element for f in flat])
+    table = outcome_table(els, e.states)
+    column = {lab: j for j, lab in enumerate(e.labels)}
     rows: list[ProtocolOutcomeReport] = []
     failures: list[str] = []
     unreachable_mapped: list[tuple[int, ...]] = []
     excluded: set[str] = set()
     sound = True
-    for f in flat:
-        total += f.element
-        probs = {lab: float(np.vdot(f.element, rhos[lab]).real) for lab in e.labels}
-        prob = sum(probs.values()) / n
+    for f, probs in zip(flat, table):
+        prob = float(probs.sum()) / e.n_states
         reachable = prob > tol
         worst = 0.0
         if f.claims is None:
             if reachable:
                 raise ValueError(f"reachable outcome {f.outcome} is not in the exclusion map")
         else:
-            bad = [lab for lab in f.claims if lab not in known]
+            bad = [lab for lab in f.claims if lab not in column]
             if bad:
                 raise ValueError(f"outcome {f.outcome} claims unknown labels {bad}")
             if not reachable:
                 unreachable_mapped.append(f.outcome)
             for lab in f.claims:
-                worst = max(worst, probs[lab])
-                if probs[lab] > tol:
+                p_lab = float(probs[column[lab]])
+                worst = max(worst, p_lab)
+                if p_lab > tol:
                     sound = False
                     failures.append(f"outcome {f.outcome} claims {lab!r} but sees "
-                                    f"probability {probs[lab]:.3e}")
+                                    f"probability {p_lab:.3e}")
             if reachable:
                 excluded.update(f.claims)
         rows.append(ProtocolOutcomeReport(f.outcome, prob, f.claims, worst))
 
-    comp = float(np.max(np.abs(total - np.eye(e.layout.dim))))
+    # the components already passed povm_residuals; only the flattened sum is reported
+    comp = float(np.max(np.abs(els.sum(axis=0) - np.eye(e.layout.dim))))
     missing = tuple(lab for lab in e.labels if lab not in excluded)
     if missing:
         failures.append(f"never excluded by a reachable outcome: {list(missing)}")
@@ -280,15 +277,15 @@ def verify_conclusive_identification(e: Ensemble, party_povms,
     proto = LoccProtocol("one_round_product", e.layout,
                          party_povms=[list(povm) for povm in party_povms])
     _validate_pieces(proto, tol)
-    rhos = {lab: np.outer(s, s.conj()) for lab, s in zip(e.labels, e.states)}
+    flat = flatten_protocol(proto)
+    table = outcome_table([f.element for f in flat], e.states)
     rows: list[IdentificationOutcome] = []
     hit: set[str] = set()
-    for f in flatten_protocol(proto):
-        probs = {lab: float(np.vdot(f.element, rhos[lab]).real) for lab in e.labels}
-        prob = sum(probs.values()) / e.n_states
+    for f, probs in zip(flat, table):
+        prob = float(probs.sum()) / e.n_states
         if prob <= tol:
             continue
-        support = tuple(lab for lab in e.labels if probs[lab] > tol)
+        support = tuple(lab for lab, p in zip(e.labels, probs) if p > tol)
         ident = support[0] if len(support) == 1 else None
         if ident is not None:
             hit.add(ident)
@@ -456,11 +453,10 @@ def _pair_protocol(e: Ensemble, p: int, q: int, tol: float) -> LoccProtocol:
 
 def _prune_unreachable(p: LoccProtocol, e: Ensemble, tol: float) -> None:
     """Drop exclusion-map entries whose outcomes never occur under e."""
-    rhos = [np.outer(s, s.conj()) for s in e.states]
-    n = len(rhos)
-    for f in flatten_protocol(p):
-        prob = sum(float(np.vdot(f.element, r).real) for r in rhos) / n
-        if f.claims is not None and prob <= tol:
+    flat = flatten_protocol(p)
+    table = outcome_table([f.element for f in flat], e.states)
+    for f, probs in zip(flat, table):
+        if f.claims is not None and probs.sum() / e.n_states <= tol:
             if p.kind == "randomized_mixture":
                 p.mixture[f.outcome[0]][1].exclusion_map.pop(f.outcome[1:], None)
             else:
@@ -478,11 +474,8 @@ def build_pairwise_lad_protocol(e: Ensemble, tol: float = DEFAULT_TOL) -> LoccPr
     k = e.n_states
     if e.layout.n_parties < 2:
         raise ValueError("local protocols need at least two parties")
-    for a in range(k):
-        for b in range(a + 1, k):
-            if abs(np.vdot(e.states[a], e.states[b])) > 1e-10:
-                raise ValueError(f"states {e.labels[a]!r} and {e.labels[b]!r} "
-                                 "are not orthogonal")
+    if not e.is_orthogonal:
+        raise ValueError("states are not pairwise orthogonal")
     pairs = [(2 * i, 2 * i + 1) for i in range(k // 2)]
     if k % 2:
         pairs.append((0, k - 1))

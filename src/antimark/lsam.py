@@ -17,8 +17,8 @@ import numpy as np
 from .ensembles import Ensemble, angle_ket, local_part, nl2, sequence_ensemble, theta4
 from .exclusion import (Povm, Verdict, _support_feasible, decide_antidist,
                         exclusion_counts)
-from .locc import LoccProtocol, flatten_protocol
-from .qcore import DEFAULT_TOL, PartyLayout
+from .locc import LoccProtocol, _validate_pieces, flatten_protocol
+from .qcore import DEFAULT_TOL, PartyLayout, outcome_table, povm_residuals
 
 THETA_WINDOW = math.sqrt(2.0) - 1.0  # positivity bound on cos(2 theta)
 
@@ -102,8 +102,9 @@ def verify_sequence_elimination(task: LsamTask, protocol,
     Returns the minimum over reachable outcomes of how many sequences the
     outcome rules out; the task passes iff the result reaches task.m.  A bare
     Povm (or an unmapped protocol) is counted numerically from its elements; a
-    protocol with an exclusion map counts its claims, each re-checked against
-    the states (a failing claim raises ValueError).
+    protocol with an exclusion map must be built from valid component POVMs
+    and counts its claims, each re-checked against the states (an invalid
+    component or a failing claim raises ValueError).
     """
     seq = task.sequences()
     if isinstance(protocol, Povm):
@@ -118,18 +119,19 @@ def verify_sequence_elimination(task: LsamTask, protocol,
     if all(f.claims is None for f in flat):
         povm = Povm(seq.layout, [f.element for f in flat])
         return exclusion_counts(seq, povm, tol=tol).min_exclusions
-    rhos = {lab: np.outer(s, s.conj()) for lab, s in zip(seq.labels, seq.states)}
+    _validate_pieces(protocol, tol)
+    table = outcome_table([f.element for f in flat], seq.states)
+    column = {lab: j for j, lab in enumerate(seq.labels)}
     counts = []
-    for f in flat:
-        prob = sum(float(np.vdot(f.element, r).real) for r in rhos.values())
-        if prob / seq.n_states <= tol:
+    for f, probs in zip(flat, table):
+        if probs.sum() / seq.n_states <= tol:
             continue
         claims = f.claims or ()
-        bad = [lab for lab in claims if lab not in rhos]
+        bad = [lab for lab in claims if lab not in column]
         if bad:
             raise ValueError(f"outcome {f.outcome} claims unknown sequences {bad}")
         for lab in claims:
-            p = float(np.vdot(f.element, rhos[lab]).real)
+            p = float(probs[column[lab]])
             if p > tol:
                 raise ValueError(f"outcome {f.outcome} claims {lab!r} but sees "
                                  f"probability {p:.3e}")
@@ -225,19 +227,13 @@ def _theta_closed_forms(t: float):
 
 
 def _theta_family_ok(els, states, tol: float) -> bool:
-    total = sum(els)
-    if float(np.max(np.abs(total - np.eye(4)))) > tol:
+    herm, comp, mineig = povm_residuals(els)
+    if comp > tol or np.max(herm) > tol or mineig < -tol:
         return False
-    for j, m in enumerate(els):
-        if float(np.max(np.abs(m - m.conj().T))) > tol:
-            return False
-        if float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0]) < -tol:
-            return False
-        for pat in PAIR_MAP[j]:
-            v = states[pat]
-            if abs(float(np.real(np.vdot(v, m @ v)))) > tol:
-                return False
-    return True
+    table = outcome_table(els, list(states.values()))
+    column = {lab: j for j, lab in enumerate(states)}
+    return all(abs(table[j, column[pat]]) <= tol
+               for j, pair in enumerate(PAIR_MAP) for pat in pair)
 
 
 def theta_global_measurement(theta: float, tol: float = DEFAULT_TOL,

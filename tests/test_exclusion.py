@@ -1,9 +1,12 @@
 """Antidistinguishability criteria, certificates, and the decision routine."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antimark.ensembles import (Ensemble, bell4, bennett9, duan4, nl1, pbr4,
                                 sic4, su3, trine3, weak3)
@@ -120,6 +123,45 @@ def test_verify_strong_flags_incomplete_sum():
     rep = verify_strong(e, Povm(e.layout, els, list(e.labels)), tol=1e-9)
     assert not rep.passed
     assert rep.completeness_residual > 0.4
+
+
+@lru_cache(maxsize=None)
+def catalog_certificate(name):
+    """A catalog ensemble with its decide_antidist certificate; "duan4-rotated"
+    shifts the certificate's labels by one, so every exclusion fails."""
+    builders = {"trine3": trine3, "sic4": sic4, "bell4": bell4,
+                "bennett9": bennett9, "duan4": duan4, "pbr4": pbr4}
+    e = builders[name.split("-")[0]]()
+    cert = decide_antidist(e).certificate
+    if name.endswith("-rotated"):
+        cert = Povm(cert.layout, cert.elements, cert.labels[1:] + cert.labels[:1])
+    return e, cert
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(["trine3", "sic4", "bell4", "bennett9", "duan4", "pbr4",
+                             "duan4-rotated"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_verify_strong_is_invariant_under_unitaries_phases_and_relabelling(name, seed):
+    e, cert = catalog_certificate(name)
+    rng = np.random.default_rng(seed)
+    d, n = e.layout.dim, e.n_states
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    phases = np.exp(2j * math.pi * rng.uniform(size=n))
+    order = rng.permutation(n)
+    rename = {lab: f"r{k}" for k, lab in zip(rng.permutation(n), e.labels)}
+    moved = Ensemble("moved", e.layout, [rename[e.labels[i]] for i in order],
+                     [phases[i] * (u @ e.states[i]) for i in order])
+    moved_cert = Povm(cert.layout, [u @ m @ u.conj().T for m in cert.elements],
+                      [rename[lab] for lab in cert.labels])
+    before = verify_strong(e, cert, tol=1e-8)
+    after = verify_strong(moved, moved_cert, tol=1e-8)
+    assert after.passed == before.passed
+    assert (after.condition1_ok, after.condition2_ok) == (before.condition1_ok,
+                                                          before.condition2_ok)
+    for a, b in zip(after.outcomes, before.outcomes):
+        assert set(a.excluded) == {rename[lab] for lab in b.excluded}
+        assert a.firing == pytest.approx(b.firing, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

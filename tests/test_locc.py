@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antimark.ensembles import (Ensemble, bell4, bennett9,
                                 double_sic_antiparallel, nl1, nl2,
@@ -93,6 +95,34 @@ def test_bell_protocol_each_outcome_claims_its_state():
     assert claimed[(0, 0)] == ("Psi+",)
     assert claimed[(1, 1)] == ("Psi-",)
     assert all(len(c) == 1 for c in claimed.values())
+
+
+def haar_unitary(dim, rng):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_bell_protocol_is_invariant_under_local_unitaries(seed):
+    rng = np.random.default_rng(seed)
+    ua, ub = haar_unitary(2, rng), haar_unitary(2, rng)
+    e, proto = bell4(), bell_exclusion_protocol()
+    moved = Ensemble("moved bell4", e.layout, e.labels,
+                     [np.kron(ua, ub) @ s for s in e.states])
+    povms = [[u @ m @ u.conj().T for m in povm]
+             for u, povm in zip((ua, ub), proto.party_povms)]
+    moved_proto = LoccProtocol("one_round_product", proto.layout, party_povms=povms,
+                               exclusion_map=proto.exclusion_map)
+    before = verify_local_protocol(e, proto)
+    after = verify_local_protocol(moved, moved_proto)
+    assert (after.passed, after.sound) == (before.passed, before.sound)
+    assert after.excluded_labels == before.excluded_labels
+    assert after.missing_labels == before.missing_labels
+    for a, b in zip(after.rows, before.rows):
+        assert (a.outcome, a.claims) == (b.outcome, b.claims)
+        assert a.probability == pytest.approx(b.probability, abs=1e-9)
+        assert a.worst_residual == pytest.approx(b.worst_residual, abs=1e-9)
 
 
 def test_bennett_protocol_covers_all_nine():

@@ -108,6 +108,22 @@ def test_verify_sequence_elimination_rejects_false_claims():
         verify_sequence_elimination(task, bad)
 
 
+def test_verify_sequence_elimination_rejects_non_measurements():
+    """Claims count only on a real measurement: keeping one outcome per party
+    (which would count 9) or doubling every element is refused."""
+    proto = theta_sequence_protocol(0.9)
+    task = LsamTask(theta4(0.9), 2, 8)
+    first = proto.party_povms[0][0]
+    truncated = dataclasses.replace(
+        proto, party_povms=[[first], [first.copy()]],
+        exclusion_map={(0, 0): proto.exclusion_map[(0, 0)]})
+    doubled = dataclasses.replace(
+        proto, party_povms=[[2 * m for m in povm] for povm in proto.party_povms])
+    for bad in (truncated, doubled):
+        with pytest.raises(ValueError):
+            verify_sequence_elimination(task, bad)
+
+
 def test_verify_sequence_elimination_checks_layout():
     task = LsamTask(su3(), 2, 1)
     with pytest.raises(ValueError):

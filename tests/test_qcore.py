@@ -5,11 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from antimark.qcore import (DEFAULT_TOL, PartyLayout, StateVector,
-                            canonical_phase, combine_layouts, dagger, identity,
-                            is_hermitian, is_psd, min_eigenvalue, overlap,
-                            projector, same_up_to_phase, state, tensor,
-                            trace_product)
+from antimark.qcore import (DEFAULT_TOL, PartyLayout, canonical_phase,
+                            min_eigenvalue, outcome_table, povm_residuals,
+                            same_up_to_phase)
 
 
 def test_layout_basics():
@@ -38,81 +36,41 @@ def test_layout_default_names_are_distinct():
     assert len(set(lay.names)) == 30
 
 
-def test_combine_layouts_renames_collisions():
-    a = PartyLayout((2,), ("A",))
-    b = PartyLayout((3,), ("A",))
-    joined = combine_layouts(a, b)
-    assert joined.dims == (2, 3)
-    assert joined.names[0] == "A"
-    assert joined.names[1] != "A"
-
-
-def test_state_normalizes_and_validates():
-    lay = PartyLayout((2,))
-    s = state([2.0, 0.0], lay)
-    np.testing.assert_allclose(s.amps, [1.0, 0.0])
-    with pytest.raises(ValueError):
-        state([0.0, 0.0], lay)
-    with pytest.raises(ValueError):
-        StateVector(np.array([1.0, 1.0]), lay)  # not normalized
-    with pytest.raises(ValueError):
-        state([1.0, 0.0, 0.0], lay)
-
-
-def test_tensor_and_projector():
-    lay2 = PartyLayout((2,))
-    zero = state([1, 0], lay2)
-    plus = state([1, 1], lay2)
-    prod = tensor(zero, plus)
-    assert prod.layout.dims == (2, 2)
-    h = 1 / math.sqrt(2)
-    np.testing.assert_allclose(prod.amps, [h, h, 0, 0], atol=1e-15)
-    p = projector(prod)
-    np.testing.assert_allclose(p.mat, np.outer(prod.amps, prod.amps.conj()))
-    with pytest.raises(TypeError):
-        tensor(zero, p)
-
-
-def test_overlap_conjugate_linearity():
-    lay = PartyLayout((2,))
-    a = state([1, 1j], lay)
-    b = state([1, 0], lay)
-    assert overlap(a, b) == pytest.approx(np.vdot(a.amps, b.amps))
-    with pytest.raises(ValueError):
-        overlap(a, state([1, 0, 0], PartyLayout((3,))))
-
-
-def test_identity_and_dagger():
-    lay = PartyLayout((3,))
-    eye = identity(lay)
-    np.testing.assert_allclose(eye.mat, np.eye(3))
-    op = dagger(eye)
-    np.testing.assert_allclose(op.mat, np.eye(3))
-
-
 def test_hermitian_and_psd_checks():
     herm = np.array([[1.0, 1j], [-1j, 2.0]])
-    assert is_hermitian(herm)
-    assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    assert min_eigenvalue(herm) == pytest.approx(1.5 - math.sqrt(1.25))
-    lay = PartyLayout((2,))
-    from antimark.qcore import Operator
-    assert is_psd(Operator(herm, lay))
-    assert not is_psd(Operator(-herm, lay))
+    low = 1.5 - math.sqrt(1.25)
+    assert min_eigenvalue(herm) == pytest.approx(low)
+    assert min_eigenvalue(np.stack([herm, 2 * herm])) == pytest.approx(low)
+
+    basis = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    herm_res, comp, mineig = povm_residuals(basis)
+    assert np.all(herm_res == 0.0) and comp == 0.0 and mineig == 0.0
+
+    skew = [basis[0] + np.array([[0.0, 0.1], [0.0, 0.0]]), basis[1]]
+    herm_res, _, _ = povm_residuals(skew)
+    assert herm_res[0] == pytest.approx(0.1) and herm_res[1] == 0.0
+
+    tilted = [np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])]
+    _, comp, mineig = povm_residuals(tilted)
+    assert comp == pytest.approx(0.0, abs=1e-15) and mineig == pytest.approx(-0.5)
+
+    _, comp, mineig = povm_residuals([basis[0]])
+    assert comp == pytest.approx(1.0) and mineig == 0.0
 
 
-def test_trace_product_matches_numpy():
+def test_outcome_table_matches_trace():
     rng = np.random.default_rng(7)
-    lay = PartyLayout((3,))
-    from antimark.qcore import Operator
-    for _ in range(20):
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        rho = a @ a.conj().T
-        rho /= np.trace(rho).real
-        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        e = b @ b.conj().T
-        got = trace_product(Operator(rho, lay), Operator(e, lay))
-        assert got == pytest.approx(np.trace(rho @ e).real, abs=1e-12)
+    for d, k, n in ((2, 3, 4), (3, 5, 2), (6, 2, 7)):
+        a = rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d))
+        els = a + a.conj().transpose(0, 2, 1)
+        kets = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+        kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+        table = outcome_table(list(els), list(kets))
+        assert table.shape == (k, n) and table.dtype == np.float64
+        for i in range(k):
+            for j in range(n):
+                rho = np.outer(kets[j], kets[j].conj())
+                assert table[i, j] == pytest.approx(np.trace(rho @ els[i]).real, abs=1e-12)
 
 
 def test_canonical_phase_pins_first_big_amplitude():
