@@ -16,7 +16,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .qcore import DataError, PartyLayout, canonical_phase, same_up_to_phase
+from .qcore import DataError, PartyLayout, canonical_phase, kron, same_up_to_phase
 
 # ---------------------------------------------------------------------------
 # single-qubit kets used by the catalog
@@ -50,7 +50,7 @@ def qutrit_sum(p: int, q: int, sign: int = 1) -> np.ndarray:
 def _kron_all(factors) -> np.ndarray:
     out = np.asarray(factors[0], dtype=np.complex128)
     for f in factors[1:]:
-        out = np.kron(out, np.asarray(f, dtype=np.complex128))
+        out = kron(out, np.asarray(f, dtype=np.complex128))
     return out
 
 

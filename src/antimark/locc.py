@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from .ensembles import Ensemble
-from .qcore import (DEFAULT_TOL, DataError, PartyLayout, density, mat_to_pairs,
+from .qcore import (DEFAULT_TOL, DataError, PartyLayout, density, kron, mat_to_pairs,
                     outcome_table, povm_residuals)
 
 KINDS = ("one_round_product", "two_round_sequential", "randomized_mixture")
@@ -117,7 +117,7 @@ def flatten_protocol(p: LoccProtocol) -> list[FlatOutcome]:
         for idx in product(*(range(len(povm)) for povm in p.party_povms)):
             el = p.party_povms[0][idx[0]]
             for q, i in enumerate(idx[1:], start=1):
-                el = np.kron(el, p.party_povms[q][i])
+                el = kron(el, p.party_povms[q][i])
             claims = None if p.exclusion_map is None else p.exclusion_map.get(idx)
             out.append(FlatOutcome(idx, el, claims))
     elif p.kind == "two_round_sequential":
@@ -125,7 +125,7 @@ def flatten_protocol(p: LoccProtocol) -> list[FlatOutcome]:
             for j, resp in enumerate(p.responses[i]):
                 idx = (i, j)
                 claims = None if p.exclusion_map is None else p.exclusion_map.get(idx)
-                out.append(FlatOutcome(idx, np.kron(first, resp), claims))
+                out.append(FlatOutcome(idx, kron(first, resp), claims))
     else:
         for ci, (w, comp) in enumerate(p.mixture):
             for sub in flatten_protocol(comp):

@@ -18,7 +18,7 @@ from .ensembles import Ensemble, angle_ket, local_part, nl2, sequence_ensemble, 
 from .exclusion import (Povm, Verdict, _support_feasible, decide_antidist,
                         exclusion_counts)
 from .locc import LoccProtocol, _validate_pieces, flatten_protocol
-from .qcore import DEFAULT_TOL, PartyLayout, outcome_table, povm_residuals
+from .qcore import DEFAULT_TOL, PartyLayout, kron, outcome_table, povm_residuals
 
 THETA_WINDOW = math.sqrt(2.0) - 1.0  # positivity bound on cos(2 theta)
 
@@ -154,7 +154,7 @@ def lift_first_slot(op, layout: PartyLayout, n_prime: int) -> np.ndarray:
         raise ValueError(f"operator must be {d}x{d}")
     if n_prime < 1:
         raise ValueError("need n_prime >= 1")
-    full = np.kron(op, np.eye(d ** (n_prime - 1), dtype=np.complex128))
+    full = kron(op, np.eye(d ** (n_prime - 1), dtype=np.complex128))
     dims = list(layout.dims) * n_prime
     k = layout.n_parties
     perm = [s * k + p for p in range(k) for s in range(n_prime)]
@@ -174,10 +174,10 @@ def pbr_sequence_measurement() -> Povm:
     zero, one = np.array([1.0, 0.0]), np.array([0.0, 1.0])
     plus, minus = np.array([h, h]), np.array([h, -h])
     kets = [
-        (np.kron(zero, one) + np.kron(one, zero)) * h,
-        (np.kron(zero, minus) + np.kron(one, plus)) * h,
-        (np.kron(plus, one) + np.kron(minus, zero)) * h,
-        (np.kron(plus, minus) + np.kron(minus, plus)) * h,
+        (kron(zero, one) + kron(one, zero)) * h,
+        (kron(zero, minus) + kron(one, plus)) * h,
+        (kron(plus, one) + kron(minus, zero)) * h,
+        (kron(plus, minus) + kron(minus, plus)) * h,
     ]
     els = [np.outer(v, v.conj()) for v in kets]
     return Povm(PartyLayout((2, 2)), els, name="entangled pair readout")
@@ -209,8 +209,8 @@ def _theta_closed_forms(t: float):
     up_perp = np.array([s, -c])    # orthogonal to cos t|0> + sin t|1>
     down_perp = np.array([s, c])   # orthogonal to cos t|0> - sin t|1>
     fixed = [gamma * np.outer(v, v.conj()) for v in (
-        np.kron(up_perp, zero), np.kron(zero, up_perp),
-        np.kron(zero, down_perp), np.kron(down_perp, zero))]
+        kron(up_perp, zero), kron(zero, up_perp),
+        kron(zero, down_perp), kron(down_perp, zero))]
     e = np.eye(4, dtype=np.complex128)
     v_cands = [(e[1] + e[2], e[1] - e[2]), (e[0] + e[3], e[0] - e[3])]
     w_cands = [(s * s * e[0] + c * c * e[3], s * s * e[0] - c * c * e[3]),
@@ -263,7 +263,7 @@ def theta_global_measurement(theta: float, tol: float = DEFAULT_TOL,
     if not synthesize and math.cos(2.0 * t_eff) <= THETA_WINDOW + 1e-12:
         mirror = theta4(t_eff)
         mirror_states = dict(zip(mirror.labels, mirror.states))
-        xx = np.kron(np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]]))
+        xx = kron(np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]]))
         for els in _theta_closed_forms(t_eff):
             if not _theta_family_ok(els, mirror_states, check_tol):
                 continue

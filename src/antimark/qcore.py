@@ -71,6 +71,15 @@ def min_eigenvalue(mat: np.ndarray) -> float:
     return float(np.min(np.linalg.eigvalsh(mat)[..., 0]))
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two kets or of two matrices, as one broadcast product: the
+    same entries without np.kron's general-rank bookkeeping."""
+    if a.ndim == 1:
+        return (a[:, None] * b[None, :]).reshape(-1)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def outcome_table(elements, kets) -> np.ndarray:
     """Outcome probabilities p[k, s] = <psi_s|E_k|psi_s> as a real
     outcomes x states array, one batched product for the whole table."""

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from antimark.qcore import (DEFAULT_TOL, PartyLayout, canonical_phase,
+from antimark.qcore import (DEFAULT_TOL, PartyLayout, canonical_phase, kron,
                             min_eigenvalue, outcome_table, povm_residuals,
                             same_up_to_phase)
 
@@ -71,6 +71,14 @@ def test_outcome_table_matches_trace():
             for j in range(n):
                 rho = np.outer(kets[j], kets[j].conj())
                 assert table[i, j] == pytest.approx(np.trace(rho @ els[i]).real, abs=1e-12)
+
+
+def test_kron_equals_numpy_kron_entry_for_entry():
+    rng = np.random.default_rng(11)
+    for sa, sb in (((3,), (4,)), ((2, 2), (3, 3)), ((2, 3), (4, 1)), ((4, 4), (16, 16))):
+        a = rng.normal(size=sa) + 1j * rng.normal(size=sa)
+        b = rng.normal(size=sb) + 1j * rng.normal(size=sb)
+        assert np.array_equal(kron(a, b), np.kron(a, b))
 
 
 def test_canonical_phase_pins_first_big_amplitude():
