@@ -397,38 +397,29 @@ def _support_feasible(groups: list[list[np.ndarray]], dim: int, tol: float,
 
     The package's one feasibility solver.  Works in the reduced coordinates
     of one Hermitian block per support and runs Douglas-Rachford between the
-    per-block PSD cones and the affine completeness constraint.  Because
-    exclusion is structural, tangency of the exclusion equalities with the
-    PSD cone cannot slow the iteration; a stall here means the completeness
-    target is out of reach.  Stops once the largest completeness deviation
-    (real and imaginary parts) drops below tol, which callers set to a tenth
-    of the tolerance they verify at.  Returns the full-dimension elements,
-    or None when no restart closes the gap.
+    per-block PSD cones and the affine completeness constraint.  Each step is
+    batched: one stack per block size (``_psd_project``) and one precomputed
+    affine projection.  A group spanning the whole space leaves a size-0
+    block, whose element is zero.  Because exclusion is structural, tangency
+    of the exclusion equalities with the PSD cone cannot slow the iteration;
+    a stall here means the completeness target is out of reach.  Stops once
+    the largest completeness deviation (real and imaginary parts) drops below
+    tol, which callers set to a tenth of the tolerance they verify at.
+    Returns the full-dimension elements, or None when no restart closes it.
     """
     bases = [_orthocomplement(g, dim) for g in groups]
-    blocks = [_hermitian_basis(b.shape[1]) for b in bases]
-    cols = []
-    for b, basis in zip(bases, blocks):
-        for g in basis:
-            m = b @ g @ b.conj().T
-            cols.append(np.concatenate([m.real.ravel(), m.imag.ravel()]))
-    lin = np.column_stack(cols)
+    sizes = [b.shape[1] for b in bases]
+    stacks = _block_stacks(sizes)
+    cols = np.zeros((dim * dim, sum(s * s for s in sizes)), dtype=np.complex128)
+    for pos, idx, basis in stacks:
+        b = np.stack([bases[j] for j in pos])
+        full = b[:, None] @ basis @ b.conj().transpose(0, 2, 1)[:, None]  # b g b^dag
+        cols[:, idx.ravel()] = full.reshape(idx.size, dim * dim).T
+    lin = np.concatenate([cols.real, cols.imag])
     target = np.concatenate([np.eye(dim).ravel(), np.zeros(dim * dim)])
     pinv = np.linalg.pinv(lin, rcond=1e-12)
-
-    def to_blocks(svec: np.ndarray) -> list[np.ndarray]:
-        out, i = [], 0
-        for basis in blocks:
-            m = np.zeros_like(basis[0])
-            for g in basis:
-                m = m + svec[i] * g
-                i += 1
-            out.append(m)
-        return out
-
-    def from_blocks(ms: list[np.ndarray]) -> np.ndarray:
-        return np.array([float(np.vdot(g, m).real)
-                         for m, basis in zip(ms, blocks) for g in basis])
+    proj, shift = pinv @ lin, pinv @ target
+    cuts = np.cumsum([s * s for s in sizes])[:-1]
 
     for r in range(restarts):
         rng = np.random.default_rng(seed + 7919 * r)
@@ -436,14 +427,11 @@ def _support_feasible(groups: list[list[np.ndarray]], dim: int, tol: float,
         best = np.inf
         since_best = 0
         for _ in range(iters):
-            clipped = []
-            for m in to_blocks(x):
-                w, v = np.linalg.eigh(m)
-                clipped.append((v * np.clip(w, 0.0, None)) @ v.conj().T)
-            y = from_blocks(clipped)
+            y = _psd_project(x, stacks)
             res = float(np.max(np.abs(lin @ y - target)))
             if res < tol:
-                return [b @ m @ b.conj().T for b, m in zip(bases, clipped)]
+                return [(c @ p).reshape(dim, dim) for c, p in
+                        zip(np.split(cols, cuts, axis=1), np.split(y, cuts))]
             if res < best * 0.99:
                 best = res
                 since_best = 0
@@ -452,26 +440,46 @@ def _support_feasible(groups: list[list[np.ndarray]], dim: int, tol: float,
                 if since_best > 400:
                     break
             refl = 2.0 * y - x
-            x = x + refl - pinv @ (lin @ refl - target) - y
+            x = x + refl - (proj @ refl - shift) - y
     return None
 
 
-def _hermitian_basis(d: int) -> list[np.ndarray]:
-    out = []
-    for a in range(d):
-        m = np.zeros((d, d), dtype=np.complex128)
-        m[a, a] = 1.0
-        out.append(m)
-    rt = 1.0 / math.sqrt(2.0)
+def _block_stacks(sizes: list[int]) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
+    """The blocks grouped by size s > 0: their positions, their parameter
+    indices (one row of s*s per block, blocks laid out in order) and the
+    stacked Hermitian basis (s*s, s, s)."""
+    offsets = np.cumsum([0] + [s * s for s in sizes])
+    stacks = []
+    for s in sorted(set(sizes) - {0}):
+        pos = [j for j, t in enumerate(sizes) if t == s]
+        stacks.append((pos, offsets[pos][:, None] + np.arange(s * s),
+                       _hermitian_basis(s)))
+    return stacks
+
+
+def _psd_project(x: np.ndarray, stacks) -> np.ndarray:
+    """Coordinates of the nearest point of the product of block PSD cones:
+    one einsum, one batched eigh and one einsum per block size."""
+    y = np.empty_like(x)
+    for _, idx, basis in stacks:
+        w, v = np.linalg.eigh(np.einsum("nk,kab->nab", x[idx], basis))
+        m = (v * np.maximum(w, 0.0)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+        y[idx] = np.einsum("kab,nab->nk", basis.conj(), m).real
+    return y
+
+
+def _hermitian_basis(d: int) -> np.ndarray:
+    """Basis (d*d, d, d) of the d x d Hermitian matrices, orthonormal under
+    Re Tr(A^dag B): the diagonal units, then for each pair a < b the real
+    symmetric and the imaginary antisymmetric unit."""
+    out = np.zeros((d * d, d, d), dtype=np.complex128)
+    out[np.arange(d), np.arange(d), np.arange(d)] = 1.0
+    rt, k = 1.0 / math.sqrt(2.0), d
     for a in range(d):
         for b in range(a + 1, d):
-            m = np.zeros((d, d), dtype=np.complex128)
-            m[a, b] = m[b, a] = rt
-            out.append(m)
-            m = np.zeros((d, d), dtype=np.complex128)
-            m[a, b] = -1j * rt
-            m[b, a] = 1j * rt
-            out.append(m)
+            out[k, a, b] = out[k, b, a] = rt
+            out[k + 1, a, b], out[k + 1, b, a] = -1j * rt, 1j * rt
+            k += 2
     return out
 
 

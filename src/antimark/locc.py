@@ -298,14 +298,23 @@ def verify_conclusive_identification(e: Ensemble, party_povms,
 # zero-diagonal rotation
 
 
+def _rotation_phase(b: complex, c: complex) -> float:
+    """Root in [0, pi) of Im(b e^{-i phi} + c e^{i phi}), which is the
+    sinusoid A cos(phi) + B sin(phi); phi = 0 when A already vanishes."""
+    big_a, big_b = b.imag + c.imag, c.real - b.real
+    if abs(big_a) < 1e-18:
+        return 0.0
+    return math.atan2(big_a, -big_b) % math.pi
+
+
 def zero_diagonal_unitary(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Unitary U making diag(U A U^dag) vanish for a traceless square A.
 
     Repeatedly rotates the pair holding the largest diagonal entry so both
     entries become their mean; with a traceless matrix the diagonal contracts
-    geometrically to zero.  Each two-by-two rotation comes from a closed form
-    after a bisection picks the phase that aligns the off-diagonal combination
-    with the diagonal gap.
+    geometrically to zero.  Each two-by-two rotation, and the phase that
+    aligns its off-diagonal combination with the diagonal gap, come from
+    closed forms.
     """
     a = np.array(mat, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -326,27 +335,9 @@ def zero_diagonal_unitary(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
         if abs(w) < 1e-15 * scale:
             break
         phase = w / abs(w)
-        b, c = a[i, j], a[j, i]
-
-        def imbalance(phi: float) -> float:
-            z = b * np.exp(-1j * phi) + c * np.exp(1j * phi)
-            return float((z / phase).imag)
-
-        lo, hi = 0.0, math.pi
-        flo = imbalance(lo)
-        if abs(flo) < 1e-18:
-            phi = lo
-        else:
-            # f(pi) = -f(0), so a sign change is guaranteed on [0, pi]
-            for _ in range(80):
-                mid = (lo + hi) / 2
-                if (imbalance(mid) > 0) == (flo > 0):
-                    lo = mid
-                else:
-                    hi = mid
-            phi = (lo + hi) / 2
-        z = b * np.exp(-1j * phi) + c * np.exp(1j * phi)
-        r = float((z / phase).real)
+        b, c = a[i, j] / phase, a[j, i] / phase
+        phi = _rotation_phase(b, c)
+        r = float((b * np.exp(-1j * phi) + c * np.exp(1j * phi)).real)
         t = 0.5 * math.atan2(-abs(w), r)
         v = np.array([[math.cos(t), np.exp(1j * phi) * math.sin(t)],
                       [-np.exp(-1j * phi) * math.sin(t), math.cos(t)]],

@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 
 from antimark.ensembles import (Ensemble, bell4, bennett9, duan4, nl1, pbr4,
                                 sic4, su3, trine3, weak3)
-from antimark.exclusion import (Povm, caves_criterion, compose_union,
-                                decide_antidist, exclusion_counts,
-                                povm_from_caves_triple, qubit_antidist_lp,
-                                search_exclusion_povm, verify_strong)
+from antimark.exclusion import (Povm, _block_stacks, _hermitian_basis,
+                                _orthocomplement, _psd_project,
+                                _support_feasible, caves_criterion,
+                                compose_union, decide_antidist,
+                                exclusion_counts, povm_from_caves_triple,
+                                qubit_antidist_lp, search_exclusion_povm,
+                                verify_strong)
 from antimark.qcore import PartyLayout
 
 
@@ -268,6 +271,112 @@ def test_search_yes_answers_always_verify():
         found += 1
         assert verify_strong(e, povm, tol=1e-8).passed
     assert found >= 5
+
+
+# ---------------------------------------------------------------------------
+# the batched feasibility step against the per-block loop it replaced
+
+
+def loop_psd_project(x, sizes):
+    """Reference step: each block summed over its Hermitian basis, one eigh
+    per block, one vdot per coordinate.  Returns the coordinates and the
+    clipped blocks."""
+    blocks = [_hermitian_basis(s) for s in sizes]
+    out, i = [], 0
+    for basis in blocks:
+        m = np.zeros_like(basis[0])
+        for g in basis:
+            m = m + x[i] * g
+            i += 1
+        w, v = np.linalg.eigh(m)
+        out.append((v * np.clip(w, 0.0, None)) @ v.conj().T)
+    y = np.array([float(np.vdot(g, m).real)
+                  for m, basis in zip(out, blocks) for g in basis])
+    return y, out
+
+
+def loop_support_feasible(groups, dim, tol, restarts, iters, seed):
+    """Reference core: the same Douglas-Rachford iteration with the loop step
+    and the unfolded affine projection."""
+    bases = [_orthocomplement(g, dim) for g in groups]
+    sizes = [b.shape[1] for b in bases]
+    cols = []
+    for b, basis in zip(bases, [_hermitian_basis(s) for s in sizes]):
+        for g in basis:
+            m = b @ g @ b.conj().T
+            cols.append(np.concatenate([m.real.ravel(), m.imag.ravel()]))
+    lin = np.column_stack(cols)
+    target = np.concatenate([np.eye(dim).ravel(), np.zeros(dim * dim)])
+    pinv = np.linalg.pinv(lin, rcond=1e-12)
+    for r in range(restarts):
+        x = np.random.default_rng(seed + 7919 * r).normal(size=lin.shape[1])
+        best, since_best = np.inf, 0
+        for _ in range(iters):
+            y, clipped = loop_psd_project(x, sizes)
+            res = float(np.max(np.abs(lin @ y - target)))
+            if res < tol:
+                return [b @ m @ b.conj().T for b, m in zip(bases, clipped)]
+            if res < best * 0.99:
+                best, since_best = res, 0
+            else:
+                since_best += 1
+                if since_best > 400:
+                    break
+            refl = 2.0 * y - x
+            x = x + refl - pinv @ (lin @ refl - target) - y
+    return None
+
+
+def support_instance(kind, seed):
+    """Ket groups and dimension: a qutrit quartet (one size-2 block per
+    state), mixed singles and pairs in C^4 (sizes 3 and 2), or six pairs in
+    C^4 (the tilted-family shape, size 2)."""
+    rng = np.random.default_rng(seed)
+    if kind == "quartet":
+        return [[haar(3, rng)] for _ in range(4)], 3
+    if kind == "mixed":
+        return [[haar(4, rng)], [haar(4, rng)], [haar(4, rng), haar(4, rng)],
+                [haar(4, rng), haar(4, rng)]], 4
+    return [[haar(4, rng), haar(4, rng)] for _ in range(6)], 4
+
+
+@pytest.mark.parametrize("sizes", [[2, 2, 2, 2], [3, 2, 3, 2, 2], [1, 3, 2, 0, 2], [2] * 6],
+                         ids=["quartet", "mixed", "with-empty", "pairs"])
+def test_batched_step_matches_the_per_block_loop(sizes):
+    rng = np.random.default_rng(sum(sizes))
+    stacks = _block_stacks(sizes)
+    nonzero = [s for s in sizes if s]
+    for _ in range(20):
+        x = rng.normal(size=sum(s * s for s in sizes))
+        np.testing.assert_allclose(_psd_project(x, stacks),
+                                   loop_psd_project(x, nonzero)[0], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind,seeds", [
+    ("quartet", [8, 9, 10]), ("mixed", [0, 1]), ("pairs", [0, 1]),
+], ids=["quartet", "mixed", "pairs"])
+def test_batched_core_matches_the_per_block_loop(kind, seeds):
+    outcomes = set()
+    for seed in seeds:
+        groups, dim = support_instance(kind, seed)
+        fast = _support_feasible(groups, dim, tol=1e-9, restarts=2, iters=600, seed=seed)
+        slow = loop_support_feasible(groups, dim, 1e-9, 2, 600, seed)
+        assert (fast is None) == (slow is None), seed
+        outcomes.add(fast is None)
+        if fast is not None:
+            np.testing.assert_allclose(np.array(fast), np.array(slow), rtol=0, atol=1e-9)
+    assert outcomes == {True, False}
+
+
+def test_support_spanning_the_whole_space_gets_a_zero_element():
+    e0, e1 = np.eye(2, dtype=np.complex128)
+    # the second element may only live on |1>, so completeness fails
+    assert _support_feasible([[e0, e1], [e0]], 2, tol=1e-10) is None
+    els = _support_feasible([[e0, e1], [e0], [e1]], 2, tol=1e-10)
+    assert els is not None
+    np.testing.assert_allclose(els[0], np.zeros((2, 2)), atol=0)
+    np.testing.assert_allclose(els[1], np.diag([0.0, 1.0]), atol=1e-9)
+    np.testing.assert_allclose(els[2], np.diag([1.0, 0.0]), atol=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from antimark.ensembles import (Ensemble, bell4, bennett9,
                                 double_sic_antiparallel, nl1, nl2,
                                 product_ensemble, sequence_ensemble)
-from antimark.locc import (LoccProtocol, bell_exclusion_protocol,
-                           bennett_exclusion_protocol,
+from antimark.locc import (LoccProtocol, _rotation_phase,
+                           bell_exclusion_protocol, bennett_exclusion_protocol,
                            build_pairwise_lad_protocol,
                            double_sic_exclusion_protocol, flatten_protocol,
                            nl1_identification_povms, nl2_identification_povms,
@@ -48,6 +48,41 @@ def test_zero_diagonal_unitary_on_seeded_traceless_matrices():
             np.testing.assert_allclose(u @ u.conj().T, np.eye(dim), atol=1e-12)
             rotated = u @ a @ u.conj().T
             assert np.max(np.abs(np.diag(rotated))) < 1e-10
+
+
+def bisection_phase(b, c):
+    """Reference: the 80-step bisection for the root in [0, pi] of
+    Im(b e^{-i phi} + c e^{i phi}), which flips sign between 0 and pi."""
+    def imbalance(phi):
+        return float((b * np.exp(-1j * phi) + c * np.exp(1j * phi)).imag)
+
+    lo, hi = 0.0, math.pi
+    flo = imbalance(lo)
+    if abs(flo) < 1e-18:
+        return lo
+    for _ in range(80):
+        mid = (lo + hi) / 2
+        if (imbalance(mid) > 0) == (flo > 0):
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_closed_form_rotation_phase_matches_bisection(dim):
+    rng = np.random.default_rng(40 + dim)
+    for _ in range(10):
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        a -= np.trace(a) / dim * np.eye(dim)
+        for i in range(dim):
+            for j in range(dim):
+                if i == j:
+                    continue
+                w = a[i, i] - a[j, j]
+                b, c = a[i, j] * abs(w) / w, a[j, i] * abs(w) / w
+                gap = (_rotation_phase(b, c) - bisection_phase(b, c)) % math.pi
+                assert min(gap, math.pi - gap) < 1e-12
 
 
 def test_zero_diagonal_unitary_rejects_nonzero_trace():
