@@ -43,28 +43,29 @@ def _build_parser() -> _Parser:
                             "checks for small multipartite ensembles.")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(sp, ensemble=True):
+    def common(sp, ensemble=True, seed=False):
         if ensemble:
             sp.add_argument("--ensemble", required=True,
                             help="catalog name or ensemble JSON file")
             sp.add_argument("--param", action="append", default=[],
                             metavar="NAME=VALUE",
                             help="family parameter, e.g. theta=0.9 (radians)")
-        sp.add_argument("--tol", type=float, default=None,
-                        help="numerical tolerance (default 1e-9; env ANTIMARK_TOL)")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="seed for feasibility-search restarts")
+            sp.add_argument("--tol", type=float, default=None,
+                            help="numerical tolerance (default 1e-9; env ANTIMARK_TOL)")
+        if seed:
+            sp.add_argument("--seed", type=int, default=0,
+                            help="seed for feasibility-search restarts")
         sp.add_argument("--json", action="store_true", help="machine-readable report")
 
     sp = sub.add_parser("catalog", help="list built-in ensembles")
     common(sp, ensemble=False)
 
     sp = sub.add_parser("check-antidist", help="decide antidistinguishability")
-    common(sp)
+    common(sp, seed=True)
     sp.add_argument("--mode", choices=("global", "local"), default="global")
 
     sp = sub.add_parser("check-lsam", help="decide the (n,1) sequence task")
-    common(sp)
+    common(sp, seed=True)
     sp.add_argument("--n", type=int, default=1, help="sequence length")
     sp.add_argument("--m", type=int, default=1, help="claims required")
     sp.add_argument("--global", dest="global_mode", action="store_true",

@@ -100,6 +100,22 @@ class StrongReport:
     tol: float
 
 
+def _outcome_rows(e: Ensemble, els: np.ndarray, labels, tol: float):
+    """One OutcomeReport per element: its total probability over the states,
+    the states it excludes, and the residual on the state its label names
+    (None for a label naming no state)."""
+    table = outcome_table(els, e.states)
+    firings = table.sum(axis=1)
+    zeros = np.max(np.abs(els), axis=(1, 2)) <= tol
+    column = {lab: j for j, lab in enumerate(e.labels)}
+    for i, lab in enumerate(labels):
+        zero = bool(zeros[i])
+        excluded = tuple(x for x, p in zip(e.labels, table[i]) if p <= tol)
+        resid = float(table[i, column[lab]]) if lab in column else None
+        redundant = zero or (lab is None and len(excluded) == 0)
+        yield OutcomeReport(i, lab, float(firings[i]), resid, excluded, zero, redundant)
+
+
 def verify_strong(e: Ensemble, m: Povm, tol: float = DEFAULT_TOL) -> StrongReport:
     """Check that a labeled POVM strongly excludes every state of the ensemble.
 
@@ -134,24 +150,16 @@ def verify_strong(e: Ensemble, m: Povm, tol: float = DEFAULT_TOL) -> StrongRepor
     if mineig < -tol:
         failures.append(f"minimum eigenvalue {mineig:.3e} below -tol")
 
-    table = outcome_table(els, e.states)
-    firings = table.sum(axis=1)
-    zeros = np.max(np.abs(els), axis=(1, 2)) <= tol
-    column = {lab: j for j, lab in enumerate(e.labels)}
-    rows: list[OutcomeReport] = []
+    rows = list(_outcome_rows(e, els, m.labels, tol))
     fired = {lab: False for lab in e.labels}
     cond1 = True
-    for i, lab in enumerate(m.labels):
-        zero, firing = bool(zeros[i]), float(firings[i])
-        excluded = tuple(x for x, p in zip(e.labels, table[i]) if p <= tol)
-        resid = float(table[i, column[lab]]) if lab is not None else None
-        if lab is not None and resid > tol:
+    for row in rows:
+        if row.label is not None and row.exclusion_residual > tol:
             cond1 = False
-            failures.append(f"element {i} does not exclude {lab!r}: residual {resid:.3e}")
-        if lab is not None and firing > tol:
-            fired[lab] = True
-        redundant = zero or (lab is None and len(excluded) == 0)
-        rows.append(OutcomeReport(i, lab, firing, resid, excluded, zero, redundant))
+            failures.append(f"element {row.index} does not exclude {row.label!r}: "
+                            f"residual {row.exclusion_residual:.3e}")
+        if row.label is not None and row.firing > tol:
+            fired[row.label] = True
 
     cond2 = True
     for lab in e.labels:
@@ -566,16 +574,8 @@ def povm_from_caves_triple(states, labels=None, layout: PartyLayout | None = Non
 
 
 @dataclass
-class OutcomeExclusions:
-    index: int
-    label: str | None
-    firing: float
-    excluded: tuple[str, ...]
-
-
-@dataclass
 class ExclusionCounts:
-    outcomes: list[OutcomeExclusions]
+    outcomes: list[OutcomeReport]
     min_exclusions: int
     tol: float
 
@@ -583,25 +583,21 @@ class ExclusionCounts:
 def exclusion_counts(e: Ensemble, m: Povm, tol: float = DEFAULT_TOL) -> ExclusionCounts:
     """Which states each firing outcome excludes, and the worst-case count.
 
-    An outcome fires when its total probability under the uniform mixture
-    exceeds tol; the summary value is the smallest exclusion set over firing
-    outcomes.  Raises on an invalid POVM or if nothing fires.
+    The rows are verify_strong's per-outcome reports, kept for the outcomes
+    whose total probability under the uniform mixture exceeds tol; the
+    summary value is the smallest exclusion set over them.  Labels are
+    carried but never checked.  Raises when the elements are not a POVM
+    within tol or if nothing fires.
     """
     if m.layout.dims != e.layout.dims:
         raise ValueError("POVM layout does not match the ensemble layout")
-    herm, comp, mineig = povm_residuals(m.elements)
-    if np.max(herm) > 1e-8:
+    els = np.asarray(m.elements)
+    herm, comp, mineig = povm_residuals(els)
+    if np.any(herm > tol):
         raise ValueError("POVM elements must be Hermitian")
-    if comp > 1e-8 or mineig < -1e-8:
+    if comp > tol or mineig < -tol:
         raise ValueError("not a POVM: completeness or positivity fails")
-    table = outcome_table(m.elements, e.states)
-    rows: list[OutcomeExclusions] = []
-    for i, (per, lab) in enumerate(zip(table, m.labels)):
-        firing = float(per.sum())
-        if firing <= tol:
-            continue
-        excluded = tuple(x for x, p in zip(e.labels, per) if p <= tol)
-        rows.append(OutcomeExclusions(i, lab, firing, excluded))
+    rows = [r for r in _outcome_rows(e, els, m.labels, tol) if r.firing > tol]
     if not rows:
         raise ValueError("no outcome fires under the uniform mixture")
     return ExclusionCounts(rows, min(len(r.excluded) for r in rows), tol)
@@ -609,26 +605,6 @@ def exclusion_counts(e: Ensemble, m: Povm, tol: float = DEFAULT_TOL) -> Exclusio
 
 # ---------------------------------------------------------------------------
 # decision routine
-
-
-def _cover_search(n: int, triples: list[tuple[int, int, int]]):
-    """Yield covers of range(n) by the given triples, depth first.
-
-    Each step extends with a triple containing the smallest uncovered index,
-    largest fresh coverage first.  Overlaps are allowed.
-    """
-
-    def rec(covered: frozenset, chosen: tuple):
-        if len(covered) == n:
-            yield list(chosen)
-            return
-        u = min(i for i in range(n) if i not in covered)
-        options = [t for t in triples if u in t and t not in chosen]
-        options.sort(key=lambda t: -len(set(t) - covered))
-        for t in options:
-            yield from rec(covered | set(t), chosen + (t,))
-
-    yield from rec(frozenset(), ())
 
 
 def _as_ensemble(obj) -> Ensemble:
@@ -642,15 +618,18 @@ def _as_ensemble(obj) -> Ensemble:
 
 
 def decide_antidist(ensemble, tol: float = DEFAULT_TOL, seed: int = 0,
-                    restarts: int = 3, iters: int = 4000,
-                    max_covers: int = 32) -> Verdict:
+                    restarts: int = 3, iters: int = 4000) -> Verdict:
     """Decide strong antidistinguishability of an ensemble of pure states.
 
     Route order: (1) exactly three states, the exact overlap criterion with a
     certified measurement on YES; (2) single-qubit states, the exact weight
-    program; (3) four or more states, covers by passing triples composed into
-    a union certificate; (4) direct feasibility search; (5) UNKNOWN.  Only
-    the exact routes ever answer NO.
+    program; (3) four or more states, a greedy cover by passing triples
+    composed into a union certificate: the smallest uncovered state takes, of
+    the passing triples that hold it, the one covering most uncovered states
+    (ties in enumeration order); a triple whose measurement cannot be
+    certified is dropped for the next, so a cover is found whenever the
+    certified triples admit one; (4) direct feasibility search; (5) UNKNOWN.
+    Only the exact routes ever answer NO.
     """
     e = _as_ensemble(ensemble)
     k = e.n_states
@@ -670,45 +649,38 @@ def decide_antidist(ensemble, tol: float = DEFAULT_TOL, seed: int = 0,
         return qubit_antidist_lp(e.states, e.labels, tol=tol)
 
     if k >= 4:
-        yes_triples = []
-        reports = {}
+        passing = {}
         for t in combinations(range(k), 3):
             rep = caves_criterion([e.states[i] for i in t], boundary_tol=tol)
             if rep.passed:
-                yes_triples.append(t)
-                reports[t] = rep
-        cache: dict[tuple[int, int, int], Povm | None] = {}
-
-        def build(t):
-            if t not in cache:
+                passing[t] = rep
+        cover: list[tuple[tuple[int, int, int], Povm]] = []
+        covered: set[int] = set()
+        # no measurement is built unless the passing triples still reach every state
+        while len(covered) < k and len({i for t in passing for i in t}) == k:
+            u = min(set(range(k)) - covered)
+            options = sorted((t for t in passing if u in t),
+                             key=lambda t: -len(set(t) - covered))
+            for t in options:
                 try:
-                    cache[t] = povm_from_caves_triple(
+                    sub = povm_from_caves_triple(
                         [e.states[i] for i in t], [e.labels[i] for i in t],
                         layout=e.layout, tol=tol, seed=seed)
                 except (ValueError, RuntimeError):
-                    cache[t] = None
-            return cache[t]
-
-        count = 0
-        for cover in _cover_search(k, yes_triples):
-            count += 1
-            if count > max_covers:
+                    del passing[t]
+                    continue
+                cover.append((t, sub))
+                covered.update(t)
                 break
-            parts = []
-            for t in cover:
-                sub = build(t)
-                if sub is None:
-                    break
-                parts.append(([e.labels[i] for i in t], sub))
-            else:
-                union = compose_union(e, parts, tol=max(tol, 1e-9))
-                margins = [min(1.0 - reports[t].total for t in cover),
-                           min(reports[t].quartic_lhs - reports[t].quartic_rhs
-                               for t in cover)]
-                return Verdict("YES", "triple_cover", margins=margins,
-                               certificate=union,
-                               triples=[tuple(e.labels[i] for i in t) for t in cover],
-                               detail=f"{len(cover)} certified triples")
+        if len(covered) == k:
+            union = compose_union(e, [([e.labels[i] for i in t], sub) for t, sub in cover],
+                                  tol=max(tol, 1e-9))
+            reports = [passing[t] for t, _ in cover]
+            margins = [min(1.0 - r.total for r in reports),
+                       min(r.quartic_lhs - r.quartic_rhs for r in reports)]
+            return Verdict("YES", "triple_cover", margins=margins, certificate=union,
+                           triples=[tuple(e.labels[i] for i in t) for t, _ in cover],
+                           detail=f"{len(cover)} certified triples")
 
     found = search_exclusion_povm(e, restarts=restarts, iters=iters, seed=seed,
                                   verify_tol=max(tol, 1e-8))

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import Ensemble, angle_ket, local_part, nl2, sequence_ensemble, theta4
+from .ensembles import Ensemble, local_part, nl2, sequence_ensemble, theta4
 from .exclusion import (Povm, Verdict, _support_feasible, decide_antidist,
                         exclusion_counts)
-from .locc import LoccProtocol, _validate_pieces, flatten_protocol
+from .locc import LoccProtocol, _mapped_outcomes, flatten_protocol, verify_local_protocol
 from .qcore import DEFAULT_TOL, PartyLayout, kron, outcome_table, povm_residuals
 
 THETA_WINDOW = math.sqrt(2.0) - 1.0  # positivity bound on cos(2 theta)
@@ -101,10 +101,13 @@ def verify_sequence_elimination(task: LsamTask, protocol,
 
     Returns the minimum over reachable outcomes of how many sequences the
     outcome rules out; the task passes iff the result reaches task.m.  A bare
-    Povm (or an unmapped protocol) is counted numerically from its elements; a
-    protocol with an exclusion map must be built from valid component POVMs
-    and counts its claims, each re-checked against the states (an invalid
-    component or a failing claim raises ValueError).
+    Povm (or a protocol without an exclusion map) is counted numerically from
+    its elements by exclusion_counts.  A protocol with an exclusion map goes
+    through verify_local_protocol, whose structural checks raise ValueError
+    (invalid component POVMs, a reachable outcome missing from the map, map
+    keys that match no outcome, unknown labels); an unsound claim raises
+    ValueError with the first failure, and each reachable outcome counts its
+    distinct claims.
     """
     seq = task.sequences()
     if isinstance(protocol, Povm):
@@ -115,30 +118,13 @@ def verify_sequence_elimination(task: LsamTask, protocol,
         raise ValueError("expected a Povm or a LoccProtocol")
     if protocol.layout.dims != seq.layout.dims:
         raise ValueError("protocol layout does not match the sequence layout")
-    flat = flatten_protocol(protocol)
-    if all(f.claims is None for f in flat):
-        povm = Povm(seq.layout, [f.element for f in flat])
+    if not _mapped_outcomes(protocol):
+        povm = Povm(seq.layout, [f.element for f in flatten_protocol(protocol)])
         return exclusion_counts(seq, povm, tol=tol).min_exclusions
-    _validate_pieces(protocol, tol)
-    table = outcome_table([f.element for f in flat], seq.states)
-    column = {lab: j for j, lab in enumerate(seq.labels)}
-    counts = []
-    for f, probs in zip(flat, table):
-        if probs.sum() / seq.n_states <= tol:
-            continue
-        claims = f.claims or ()
-        bad = [lab for lab in claims if lab not in column]
-        if bad:
-            raise ValueError(f"outcome {f.outcome} claims unknown sequences {bad}")
-        for lab in claims:
-            p = float(probs[column[lab]])
-            if p > tol:
-                raise ValueError(f"outcome {f.outcome} claims {lab!r} but sees "
-                                 f"probability {p:.3e}")
-        counts.append(len(set(claims)))
-    if not counts:
-        raise ValueError("no outcome is reachable")
-    return min(counts)
+    rep = verify_local_protocol(seq, protocol, tol=tol)
+    if not rep.sound:
+        raise ValueError(rep.failures[0])
+    return min(len(set(r.claims)) for r in rep.rows if r.probability > tol)
 
 
 def lift_first_slot(op, layout: PartyLayout, n_prime: int) -> np.ndarray:
@@ -195,12 +181,10 @@ class ThetaMeasurement:
     reflected: bool
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
-
-
-def _theta_closed_forms(t: float):
-    """Candidate six-element families at tilt t (requires cos 2t in [0, window])."""
+def _theta_closed_form(t: float) -> list[np.ndarray]:
+    """The printed six-element family at tilt t (requires cos 2t in [0, window]):
+    four scaled product exclusions, then two elements mixing v = e1 +- e2 and
+    w = s^2 e0 +- c^2 e3, both unnormalised."""
     c, s = math.cos(t), math.sin(t)
     gamma = (1.0 - (s / c) ** 4) / (4.0 * s * s)
     beta = 1.0 / (2.0 * c ** 4)
@@ -212,18 +196,10 @@ def _theta_closed_forms(t: float):
         kron(up_perp, zero), kron(zero, up_perp),
         kron(zero, down_perp), kron(down_perp, zero))]
     e = np.eye(4, dtype=np.complex128)
-    v_cands = [(e[1] + e[2], e[1] - e[2]), (e[0] + e[3], e[0] - e[3])]
-    w_cands = [(s * s * e[0] + c * c * e[3], s * s * e[0] - c * c * e[3]),
-               (s * s * e[1] + c * c * e[2], s * s * e[1] - c * c * e[2])]
-    for vp, vm in v_cands:
-        for wp, wm in w_cands:
-            for v_unit in (False, True):
-                for w_unit in (False, True):
-                    a, b = (_unit(vp), _unit(vm)) if v_unit else (vp, vm)
-                    x, y = (_unit(wp), _unit(wm)) if w_unit else (wp, wm)
-                    last = [alpha * np.outer(a, a.conj()) + beta * np.outer(x, x.conj()),
-                            alpha * np.outer(b, b.conj()) + beta * np.outer(y, y.conj())]
-                    yield fixed + last
+    vs = (e[1] + e[2], e[1] - e[2])
+    ws = (s * s * e[0] + c * c * e[3], s * s * e[0] - c * c * e[3])
+    return fixed + [alpha * np.outer(v, v.conj()) + beta * np.outer(w, w.conj())
+                    for v, w in zip(vs, ws)]
 
 
 def _theta_family_ok(els, states, tol: float) -> bool:
@@ -236,18 +212,17 @@ def _theta_family_ok(els, states, tol: float) -> bool:
                for j, pair in enumerate(PAIR_MAP) for pat in pair)
 
 
-def theta_global_measurement(theta: float, tol: float = DEFAULT_TOL,
-                             seed: int = 0,
+def theta_global_measurement(theta: float, seed: int = 0,
                              synthesize: bool = False) -> ThetaMeasurement:
     """Six-outcome pair-exclusion measurement for the four tilted products.
 
     Valid for cos 2 theta <= sqrt(2) - 1.  Within the closed-form positivity
-    window the printed coefficient family is instantiated by testing the
-    candidate embeddings against completeness and the pair-map exclusions
-    (tilts past pi/4 reuse the mirrored tilt conjugated by X on both qubits);
-    where no candidate is positive the measurement is synthesized numerically
-    against the same pair map and flagged.  synthesize=True skips the closed
-    forms and goes straight to the numerical construction.
+    window the printed coefficient family is built once (tilts past pi/4 take
+    the mirrored tilt's family conjugated by X on both qubits) and checked on
+    the actual states against completeness, positivity and the pair-map
+    exclusions; where that check fails the measurement is synthesized
+    numerically against the same pair map and flagged.  synthesize=True skips
+    the closed form and goes straight to the numerical construction.
     """
     if not 0.0 < theta < math.pi / 2.0:
         raise ValueError("theta must lie in (0, pi/2)")
@@ -259,18 +234,12 @@ def theta_global_measurement(theta: float, tol: float = DEFAULT_TOL,
 
     reflected = theta > math.pi / 4.0
     t_eff = math.pi / 2.0 - theta if reflected else theta
-    check_tol = 1e-10
     if not synthesize and math.cos(2.0 * t_eff) <= THETA_WINDOW + 1e-12:
-        mirror = theta4(t_eff)
-        mirror_states = dict(zip(mirror.labels, mirror.states))
-        xx = kron(np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]]))
-        for els in _theta_closed_forms(t_eff):
-            if not _theta_family_ok(els, mirror_states, check_tol):
-                continue
-            if reflected:
-                els = [xx @ m @ xx for m in els]
-            if not _theta_family_ok(els, states, check_tol):
-                continue
+        els = _theta_closed_form(t_eff)
+        if reflected:
+            xx = kron(np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]]))
+            els = [xx @ m @ xx for m in els]
+        if _theta_family_ok(els, states, 1e-10):
             povm = Povm(layout, els, name=f"tilted pair exclusion (theta={theta:g})")
             return ThetaMeasurement(theta, povm, PAIR_MAP, False, reflected)
     groups = [[states[pat] for pat in pair] for pair in PAIR_MAP]
@@ -282,14 +251,12 @@ def theta_global_measurement(theta: float, tol: float = DEFAULT_TOL,
     raise RuntimeError("no pair-exclusion measurement found for this tilt")
 
 
-def theta_sequence_protocol(theta: float, tol: float = DEFAULT_TOL,
-                            seed: int = 0,
+def theta_sequence_protocol(theta: float, seed: int = 0,
                             synthesize: bool = False) -> LoccProtocol:
     """Both parties apply the six-outcome tilted measurement to their two draw
     slots; each joint outcome claims every sequence whose sign pattern, on
     either side, matches the corresponding pair-map entry."""
-    meas = theta_global_measurement(theta, tol=tol, seed=seed,
-                                    synthesize=synthesize)
+    meas = theta_global_measurement(theta, seed=seed, synthesize=synthesize)
     parent = theta4(theta)
     seq = sequence_ensemble(parent, 2)
     patterns = []

@@ -183,8 +183,10 @@ def test_sweep_usage_errors(capsys):
 
 
 def test_unknown_command_exits_via_argparse(capsys):
-    with pytest.raises(SystemExit):
-        main(["frobnicate"])
+    for argv in (["frobnicate"], ["catalog", "--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 64
 
 
 def test_tolerance_sources(capsys, monkeypatch):

@@ -238,6 +238,25 @@ def test_compose_union_covers_all_states():
     assert v.triples and all(len(t) == 3 for t in v.triples)
 
 
+def test_triple_cover_drops_a_triple_that_cannot_be_certified(monkeypatch):
+    """A triple whose measurement raises is dropped and the cover goes on with
+    the next option for the same state."""
+    e = duan4()
+    real = povm_from_caves_triple
+
+    def flaky(states, labels=None, **kw):
+        if list(labels) == ["D1", "D2", "D3"]:
+            raise RuntimeError("no exclusion measurement found inside the span")
+        return real(states, labels, **kw)
+
+    monkeypatch.setattr("antimark.exclusion.povm_from_caves_triple", flaky)
+    v = decide_antidist(e)
+    assert v.decision == "YES" and v.method == "triple_cover"
+    assert ("D1", "D2", "D3") not in v.triples
+    assert {lab for t in v.triples for lab in t} == set(e.labels)
+    assert verify_strong(e, v.certificate, tol=1e-8).passed
+
+
 def test_compose_union_validates_membership():
     e = duan4()
     sub = povm_from_caves_triple([e.states[0], e.states[1], e.states[2]],

@@ -1,0 +1,64 @@
+"""Static checks on the package source: no unused imports and no private
+module-level function or class that nothing else refers to."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "antimark"
+
+
+def parsed_modules() -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+            for p in sorted(SRC.glob("*.py"))}
+
+
+def exported(tree: ast.Module) -> set[str]:
+    """Names listed in a module-level ``__all__``."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def references(node: ast.AST) -> set[str]:
+    """Names read, attributes taken and names imported anywhere under node."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+def test_no_unused_imports():
+    unused = []
+    for mod, tree in parsed_modules().items():
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{mod}.{bound}")
+    assert unused == []
+
+
+def test_no_unreferenced_private_definitions():
+    tops = [top for tree in parsed_modules().values() for top in tree.body]
+    refs = [references(top) for top in tops]
+    dead = []
+    for i, node in enumerate(tops):
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        name = node.name
+        if not name.startswith("_") or name.startswith("__"):
+            continue
+        if not any(name in r for j, r in enumerate(refs) if j != i):
+            dead.append(name)
+    assert dead == []

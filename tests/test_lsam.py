@@ -108,6 +108,32 @@ def test_verify_sequence_elimination_rejects_false_claims():
         verify_sequence_elimination(task, bad)
 
 
+def test_verify_sequence_elimination_rejects_incomplete_and_stale_maps():
+    """A reachable outcome missing from the map, or a map key naming no
+    outcome, is a malformed protocol rather than a count."""
+    proto = theta_sequence_protocol(0.9)
+    task = LsamTask(theta4(0.9), 2, 8)
+    missing = dict(proto.exclusion_map)
+    del missing[(0, 0)]
+    stale = dict(proto.exclusion_map)
+    stale[(6, 6)] = ()
+    for emap in (missing, stale):
+        with pytest.raises(ValueError):
+            verify_sequence_elimination(task, dataclasses.replace(proto, exclusion_map=emap))
+
+
+def test_verify_sequence_elimination_checks_the_measurement_at_tol():
+    """Party elements scaled by 1 + 2e-9 miss completeness at tol = 1e-10,
+    with the exclusion map and without it."""
+    proto = theta_sequence_protocol(0.9)
+    task = LsamTask(theta4(0.9), 2, 8)
+    scaled = dataclasses.replace(
+        proto, party_povms=[[(1 + 2e-9) * m for m in povm] for povm in proto.party_povms])
+    for bad in (scaled, dataclasses.replace(scaled, exclusion_map=None)):
+        with pytest.raises(ValueError):
+            verify_sequence_elimination(task, bad, tol=1e-10)
+
+
 def test_verify_sequence_elimination_rejects_non_measurements():
     """Claims count only on a real measurement: keeping one outcome per party
     (which would count 9) or doubling every element is refused."""
@@ -221,7 +247,8 @@ def pair_exclusion_residual(meas, theta):
     return worst
 
 
-@pytest.mark.parametrize("theta", [0.8, 0.9, math.pi / 4, 0.98])
+@pytest.mark.parametrize("theta", [0.8, 0.9, math.pi / 4, 0.98,
+                                   THETA_LO + 1e-6, THETA_HI - 1e-6])
 def test_theta_closed_forms_inside_the_window(theta):
     meas = theta_global_measurement(theta)
     assert not meas.synthesized
