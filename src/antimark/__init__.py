@@ -9,7 +9,8 @@ from .ensembles import (Ensemble, SequenceEnsemble, angle_ket, bell4, bennett9,
 from .exclusion import (CavesReport, ExclusionCounts, Povm, StrongReport,
                         Verdict, caves_criterion, compose_union,
                         decide_antidist, exclusion_counts, povm_from_caves_triple,
-                        qubit_antidist_lp, search_exclusion_povm, verify_strong)
+                        qubit_antidist_lp, search_exclusion_povm,
+                        verify_no_witness, verify_strong)
 from .locc import (LoccProtocol, WalgateDecomposition, bell_exclusion_protocol,
                    bennett_exclusion_protocol, build_pairwise_lad_protocol,
                    double_sic_exclusion_protocol, flatten_protocol,
@@ -33,7 +34,7 @@ __all__ = [
     "weak3", "trine3", "bell4", "bennett9", "duan4", "nl1", "sic4",
     "double_sic_antiparallel", "pbr4", "theta4", "nl2", "su3",
     "Povm", "Verdict", "CavesReport", "StrongReport", "ExclusionCounts",
-    "caves_criterion", "verify_strong", "qubit_antidist_lp",
+    "caves_criterion", "verify_strong", "verify_no_witness", "qubit_antidist_lp",
     "povm_from_caves_triple", "compose_union", "search_exclusion_povm",
     "exclusion_counts", "decide_antidist",
     "LoccProtocol", "WalgateDecomposition", "walgate_basis",

@@ -33,8 +33,7 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(USAGE_EXIT)
+        raise _UsageError(f"{self.prog}: error: {message}")
 
 
 def _build_parser() -> _Parser:
@@ -195,8 +194,14 @@ def _cmd_check_antidist(args) -> int:
             v = check_lsam(e, 1, 1, tol=tol, seed=args.seed)
             parts = v.parts
         else:
-            v = Verdict("UNKNOWN", "exhausted",
-                        detail="no local criterion for entangled non-orthogonal states")
+            # a local protocol is one global measurement, so a global NO is a local NO
+            v = decide_antidist(e, tol=tol, seed=args.seed)
+            if v.decision == "NO":
+                v.detail = f"global NO: {v.detail}"
+            else:
+                v = Verdict("UNKNOWN", "exhausted",
+                            detail="no local criterion for entangled non-orthogonal "
+                                   f"states (global decision {v.decision})")
     duration = time.perf_counter() - start
     report = {"command": "check-antidist", "ensemble": e.name, "mode": args.mode,
               "tol": tol, "verdict": v.to_dict(), "duration_s": duration}
@@ -331,8 +336,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return USAGE_EXIT
     try:
         return _COMMANDS[args.command](args)
     except _UsageError as exc:

@@ -1,9 +1,12 @@
 """Strong exclusion measurements: certificates, exact criteria, search, decision.
 
-The decision routine prefers exact criteria (the three-state overlap test and
-the single-qubit weight program), then tries to cover the ensemble with
-certified three-state measurements, then runs a direct feasibility search.  A
-NO only ever comes from an exact criterion; a failed search leaves UNKNOWN.
+The decision routine prefers exact criteria (the three-state overlap test,
+the single-qubit weight program and, for two states, orthogonality), then
+tries to cover the ensemble with certified three-state measurements, then
+runs the feasibility core, which ends at a measurement or at a dual witness.
+A NO comes from an exact criterion or carries a witness that
+verify_no_witness checks; a core that runs out its budget either way leaves
+UNKNOWN.
 """
 
 from __future__ import annotations
@@ -243,6 +246,7 @@ class Verdict:
     triples: list[tuple[str, str, str]] | None = None
     caves: CavesReport | None = None
     parts: dict[str, "Verdict"] | None = None
+    witness: np.ndarray | None = None
     detail: str = ""
 
     def to_dict(self) -> dict:
@@ -258,6 +262,7 @@ class Verdict:
             "parts": None if self.parts is None else
                      {k: v.to_dict() for k, v in self.parts.items()},
             "certificate": None if self.certificate is None else self.certificate.to_dict(),
+            "witness": None if self.witness is None else mat_to_pairs(self.witness),
             "detail": self.detail,
         }
 
@@ -397,11 +402,24 @@ def _orthocomplement(vectors: list[np.ndarray], dim: int) -> np.ndarray:
     return u[:, rank:]
 
 
+WITNESS_EVERY = 50   # core steps between two looks at the displacement
+
+
 def _support_feasible(groups: list[list[np.ndarray]], dim: int, tol: float,
                       restarts: int = 3, iters: int = 4000, seed: int = 0
                       ) -> list[np.ndarray] | None:
+    """The elements ``_support_core`` finds, or None when it finds none or
+    stops at a witness: the view of the callers that only build measurements."""
+    found = _support_core(groups, dim, tol, restarts, iters, seed)
+    return found if isinstance(found, list) else None
+
+
+def _support_core(groups: list[list[np.ndarray]], dim: int, tol: float,
+                  restarts: int, iters: int, seed: int
+                  ) -> list[np.ndarray] | np.ndarray | None:
     """POVM whose j-th element is supported on the orthocomplement of the
-    j-th ket group, so the group exclusions hold exactly by construction.
+    j-th ket group, so the group exclusions hold exactly by construction, or
+    a witness that no such POVM exists.
 
     The package's one feasibility solver.  Works in the reduced coordinates
     of one Hermitian block per support and runs Douglas-Rachford between the
@@ -413,16 +431,27 @@ def _support_feasible(groups: list[list[np.ndarray]], dim: int, tol: float,
     a stall here means the completeness target is out of reach.  Stops once
     the largest completeness deviation (real and imaginary parts) drops below
     tol, which callers set to a tenth of the tolerance they verify at.
-    Returns the full-dimension elements, or None when no restart closes it.
+
+    On an infeasible problem the difference of two consecutive iterates
+    tends to a fixed nonzero vector (Banjac, Goulart, Stellato and Boyd,
+    JOTA 183, 2019), which maps to a Farkas certificate.  Every
+    WITNESS_EVERY steps that difference is taken to a Hermitian dim x dim
+    matrix Y of unit trace (``_displacement_witness``); the core stops at Y
+    once its compressions onto the supports satisfy
+    1 - dim * max_j lambda_max(B_j^dag Y B_j)_+ > tol, which rules out every
+    such POVM.  Returns the full-dimension elements (a list), the witness Y
+    (an array), or None when no restart closes either way.
     """
     bases = [_orthocomplement(g, dim) for g in groups]
     sizes = [b.shape[1] for b in bases]
     stacks = _block_stacks(sizes)
     cols = np.zeros((dim * dim, sum(s * s for s in sizes)), dtype=np.complex128)
-    for pos, idx, basis in stacks:
+    supports = []
+    for pos, idx, basis, _ in stacks:
         b = np.stack([bases[j] for j in pos])
         full = b[:, None] @ basis @ b.conj().transpose(0, 2, 1)[:, None]  # b g b^dag
         cols[:, idx.ravel()] = full.reshape(idx.size, dim * dim).T
+        supports.append(b)
     lin = np.concatenate([cols.real, cols.imag])
     target = np.concatenate([np.eye(dim).ravel(), np.zeros(dim * dim)])
     pinv = np.linalg.pinv(lin, rcond=1e-12)
@@ -434,7 +463,7 @@ def _support_feasible(groups: list[list[np.ndarray]], dim: int, tol: float,
         x = rng.normal(size=lin.shape[1])
         best = np.inf
         since_best = 0
-        for _ in range(iters):
+        for it in range(1, iters + 1):
             y = _psd_project(x, stacks)
             res = float(np.max(np.abs(lin @ y - target)))
             if res < tol:
@@ -448,20 +477,48 @@ def _support_feasible(groups: list[list[np.ndarray]], dim: int, tol: float,
                 if since_best > 400:
                     break
             refl = 2.0 * y - x
-            x = x + refl - (proj @ refl - shift) - y
+            prev, x = x, x + refl - (proj @ refl - shift) - y
+            if it % WITNESS_EVERY == 0:
+                w = _displacement_witness(x - prev, pinv, supports, dim, tol)
+                if w is not None:
+                    return w
     return None
 
 
-def _block_stacks(sizes: list[int]) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
+def _displacement_witness(step: np.ndarray, pinv: np.ndarray, supports, dim: int,
+                          tol: float) -> np.ndarray | None:
+    """The core's displacement as a unit-trace Hermitian matrix Y, returned
+    when 1 - dim * max_j lambda_max(B_j^dag Y B_j)_+ exceeds tol, else None.
+
+    ``pinv.T`` maps the block coordinates to the matrix whose compressions
+    they are; a positive value certifies that no PSD elements supported on
+    the B_j sum to the identity, since Tr Y = sum_j Tr(E_j Y) would be at most
+    dim * max_j lambda_max.  ``supports`` holds the (n, dim, s) stacks of
+    orthonormal support bases, one per block size."""
+    n = dim * dim
+    v = pinv.T @ step
+    y = (v[:n] + 1j * v[n:]).reshape(dim, dim)
+    y = (y + y.conj().T) / 2.0
+    trace = float(np.trace(y).real)
+    if not trace:
+        return None
+    y = y / trace
+    top = max((float(np.linalg.eigvalsh(b.conj().transpose(0, 2, 1) @ y @ b)[:, -1].max())
+               for b in supports), default=0.0)
+    return y if 1.0 - dim * max(top, 0.0) > tol else None
+
+
+def _block_stacks(sizes: list[int]
+                  ) -> list[tuple[list[int], np.ndarray, np.ndarray, np.ndarray]]:
     """The blocks grouped by size s > 0: their positions, their parameter
-    indices (one row of s*s per block, blocks laid out in order) and the
-    stacked Hermitian basis (s*s, s, s)."""
+    indices (one row of s*s per block, blocks laid out in order), the
+    stacked Hermitian basis (s*s, s, s) and its complex conjugate."""
     offsets = np.cumsum([0] + [s * s for s in sizes])
     stacks = []
     for s in sorted(set(sizes) - {0}):
         pos = [j for j, t in enumerate(sizes) if t == s]
-        stacks.append((pos, offsets[pos][:, None] + np.arange(s * s),
-                       _hermitian_basis(s)))
+        basis = _hermitian_basis(s)
+        stacks.append((pos, offsets[pos][:, None] + np.arange(s * s), basis, basis.conj()))
     return stacks
 
 
@@ -469,10 +526,10 @@ def _psd_project(x: np.ndarray, stacks) -> np.ndarray:
     """Coordinates of the nearest point of the product of block PSD cones:
     one einsum, one batched eigh and one einsum per block size."""
     y = np.empty_like(x)
-    for _, idx, basis in stacks:
+    for _, idx, basis, basis_conj in stacks:
         w, v = np.linalg.eigh(np.einsum("nk,kab->nab", x[idx], basis))
         m = (v * np.maximum(w, 0.0)[:, None, :]) @ v.conj().transpose(0, 2, 1)
-        y[idx] = np.einsum("kab,nab->nk", basis.conj(), m).real
+        y[idx] = np.einsum("kab,nab->nk", basis_conj, m).real
     return y
 
 
@@ -500,15 +557,94 @@ def search_exclusion_povm(e: Ensemble, restarts: int = 3, iters: int = 4000,
     construction and only completeness is searched for, with ``restarts``
     deterministic restarts of at most ``iters`` iterations each.  The
     candidate counts only if verify_strong passes at verify_tol; returns
-    None when the core finds nothing or the check fails.
+    None when the core finds nothing, stops at a witness, or the check fails.
     """
-    found = _support_feasible([[s] for s in e.states], e.layout.dim,
-                              tol=verify_tol / 10, restarts=restarts,
-                              iters=iters, seed=seed)
-    if found is None:
-        return None
+    found = _search(e, restarts, iters, seed, verify_tol)
+    return found if isinstance(found, Povm) else None
+
+
+def _search(e: Ensemble, restarts: int, iters: int, seed: int,
+            verify_tol: float) -> Povm | np.ndarray | None:
+    """The core on the ensemble's single-state supports: a measurement that
+    passes verify_strong at verify_tol, the core's witness, or None."""
+    found = _support_core([[s] for s in e.states], e.layout.dim,
+                          verify_tol / 10, restarts, iters, seed)
+    if not isinstance(found, list):
+        return found
     povm = Povm(e.layout, found, list(e.labels), name="search certificate")
     return povm if verify_strong(e, povm, tol=verify_tol).passed else None
+
+
+# ---------------------------------------------------------------------------
+# NO certificates
+
+
+def verify_no_witness(ensemble, y) -> float:
+    """Margin of a dual witness Y: Tr Y - dim * max_j lambda_max(Y - rho_j)_+.
+
+    A positive margin proves that no measurement excludes every state: for
+    PSD elements E_j with Tr(E_j rho_j) = 0 that sum to the identity,
+    Tr Y = sum_j Tr(E_j (Y - rho_j)) <= dim * max_j lambda_max(Y - rho_j)_+.
+    The Hermitian part of Y is checked, with eigvalsh only.
+    """
+    e = _as_ensemble(ensemble)
+    d = e.layout.dim
+    y = np.asarray(y, dtype=np.complex128)
+    if y.shape != (d, d):
+        raise ValueError(f"witness: expected shape {(d, d)}, got {y.shape}")
+    y = (y + y.conj().T) / 2.0
+    top = max(float(np.linalg.eigvalsh(y - density(s))[-1]) for s in e.states)
+    return float(np.trace(y).real) - d * max(top, 0.0)
+
+
+def _states_witness(e: Ensemble, y: np.ndarray) -> np.ndarray:
+    """The core's witness, whose compressions onto the states'
+    orthocomplements B_j have lambda_max at most delta with
+    m = Tr Y - dim * delta > 0, rescaled to Y <= rho_j for every j.
+
+    Shifting by (delta + m / (2 dim)) I makes every compression negative
+    definite and leaves trace m / 2.  In the basis [psi_j, B_j] the shifted Y
+    is [[a_j, b_j^dag], [b_j, C_j]] with C_j < 0, and Y / t <= rho_j exactly
+    when t >= a_j - b_j^dag C_j^-1 b_j (a Schur complement), which is positive
+    since the trace is; t is the largest of these."""
+    d = e.layout.dim
+    frames = [np.column_stack([s, _orthocomplement([s], d)]) for s in e.states]
+    delta = max(max(float(np.linalg.eigvalsh(u[:, 1:].conj().T @ y @ u[:, 1:])[-1])
+                    for u in frames), 0.0)
+    m = float(np.trace(y).real) - d * delta
+    y = y - (delta + m / (2.0 * d)) * np.eye(d)
+    t = 0.0
+    for u in frames:
+        block = u.conj().T @ y @ u
+        a, b, c = block[0, 0].real, block[1:, 0], block[1:, 1:]
+        t = max(t, a - float(np.vdot(b, np.linalg.solve(c, b)).real))
+    return y / t
+
+
+def _pair_verdict(e: Ensemble, tol: float) -> Verdict:
+    """Exact decision for two states: antidistinguishable iff orthogonal.
+
+    An orthogonal pair gets E_a = |b><b| + R/2, E_b = |a><a| + R/2 with
+    R = I - |a><a| - |b><b|; any other pair gets the witness
+    Y = (rho_a + rho_b - |rho_a - rho_b|) / 2 <= rho_a, rho_b, whose margin
+    is 1 - sqrt(1 - |<a|b>|^2)."""
+    a, b = (_ket(s) for s in e.states)
+    overlap = abs(np.vdot(a, b))
+    if overlap <= tol:
+        rest = (np.eye(a.size) - density(a) - density(b)) / 2.0
+        povm = Povm(e.layout, [density(b) + rest, density(a) + rest], list(e.labels),
+                    name="orthogonal pair exclusion")
+        rep = verify_strong(e, povm, tol=max(tol, 1e-10))
+        if not rep.passed:
+            raise RuntimeError(f"pair certificate failed verification: {rep.failures[:2]}")
+        return Verdict("YES", "pair", certificate=povm,
+                       detail="orthogonal pair")
+    w, v = np.linalg.eigh(density(a) - density(b))
+    y = (density(a) + density(b) - (v * np.abs(w)) @ v.conj().T) / 2.0
+    x = overlap ** 2
+    margin = x / (1.0 + math.sqrt(1.0 - min(x, 1.0)))  # 1 - sqrt(1 - x), without cancellation
+    return Verdict("NO", "pair", margins=[margin], witness=y,
+                   detail=f"overlap {overlap:.3e}: the pair is not orthogonal")
 
 
 # ---------------------------------------------------------------------------
@@ -623,13 +759,18 @@ def decide_antidist(ensemble, tol: float = DEFAULT_TOL, seed: int = 0,
 
     Route order: (1) exactly three states, the exact overlap criterion with a
     certified measurement on YES; (2) single-qubit states, the exact weight
-    program; (3) four or more states, a greedy cover by passing triples
-    composed into a union certificate: the smallest uncovered state takes, of
-    the passing triples that hold it, the one covering most uncovered states
-    (ties in enumeration order); a triple whose measurement cannot be
-    certified is dropped for the next, so a cover is found whenever the
-    certified triples admit one; (4) direct feasibility search; (5) UNKNOWN.
-    Only the exact routes ever answer NO.
+    program; (3) two states, exact: YES when orthogonal, else NO with a
+    closed-form witness (method "pair"); (4) four or more states, a greedy
+    cover by passing triples composed into a union certificate: the smallest
+    uncovered state takes, of the passing triples that hold it, the one
+    covering most uncovered states (ties in enumeration order); a triple
+    whose measurement cannot be certified is dropped for the next, so a cover
+    is found whenever the certified triples admit one; (5) one call of the
+    feasibility core, which ends at a measurement (YES, method "search") or
+    at a dual witness, rescaled to Y <= rho_j for every j (NO, method
+    "witness", when verify_no_witness gives more than the search's
+    verification tolerance); (6) UNKNOWN.  Every NO comes from an exact
+    criterion or carries ``witness``.
     """
     e = _as_ensemble(ensemble)
     k = e.n_states
@@ -647,6 +788,9 @@ def decide_antidist(ensemble, tol: float = DEFAULT_TOL, seed: int = 0,
 
     if e.layout.dim == 2:
         return qubit_antidist_lp(e.states, e.labels, tol=tol)
+
+    if k == 2:
+        return _pair_verdict(e, tol)
 
     if k >= 4:
         passing = {}
@@ -682,11 +826,17 @@ def decide_antidist(ensemble, tol: float = DEFAULT_TOL, seed: int = 0,
                            triples=[tuple(e.labels[i] for i in t) for t, _ in cover],
                            detail=f"{len(cover)} certified triples")
 
-    found = search_exclusion_povm(e, restarts=restarts, iters=iters, seed=seed,
-                                  verify_tol=max(tol, 1e-8))
-    if found is not None:
+    verify_tol = max(tol, 1e-8)
+    found = _search(e, restarts, iters, seed, verify_tol)
+    if isinstance(found, Povm):
         return Verdict("YES", "search", margins=[], certificate=found,
                        detail="feasibility search certificate")
+    if found is not None:
+        y = _states_witness(e, found)
+        margin = verify_no_witness(e, y)
+        if margin > verify_tol:
+            return Verdict("NO", "witness", margins=[margin], witness=y,
+                           detail="dual witness from the feasibility core")
 
     return Verdict("UNKNOWN", "exhausted", margins=[],
                    detail="exact criteria do not apply and the search budget "

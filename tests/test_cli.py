@@ -2,10 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from antimark.cli import main
-from antimark.ensembles import nl1
+from antimark.ensembles import nl1, parse_ensemble
+from antimark.exclusion import verify_no_witness
 from antimark.locc import LoccProtocol, nl1_identification_povms, serialize_protocol
 
 
@@ -74,8 +76,13 @@ def test_check_antidist_local_unknown_for_entangled_overlapping(capsys, tmp_path
     path.write_text(json.dumps(doc))
     code, out = run(capsys, "check-antidist", "--ensemble", str(path),
                     "--mode", "local")
-    assert code == 2
-    assert "UNKNOWN" in out
+    assert code == 1
+    assert "NO" in out
+    code, out = run(capsys, "check-antidist", "--ensemble", str(path),
+                    "--mode", "local", "--json")
+    witness = np.array([[complex(re, im) for re, im in row]
+                        for row in json.loads(out)["verdict"]["witness"]])
+    assert verify_no_witness(parse_ensemble(path.read_text()), witness) > 0
 
 
 def test_check_lsam_exit_codes(capsys):
@@ -184,9 +191,14 @@ def test_sweep_usage_errors(capsys):
 
 def test_unknown_command_exits_via_argparse(capsys):
     for argv in (["frobnicate"], ["catalog", "--seed", "1"]):
+        assert main(argv) == 64
+
+
+def test_help_still_exits_zero(capsys):
+    for argv in (["--help"], ["check-antidist", "--help"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
-        assert exc.value.code == 64
+        assert exc.value.code == 0
 
 
 def test_tolerance_sources(capsys, monkeypatch):

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 from antimark.ensembles import (Ensemble, bell4, bennett9, duan4, nl1, pbr4,
                                 sic4, su3, trine3, weak3)
 from antimark.exclusion import (Povm, _block_stacks, _hermitian_basis,
-                                _orthocomplement, _psd_project,
+                                _orthocomplement, _psd_project, _support_core,
                                 _support_feasible, caves_criterion,
                                 compose_union, decide_antidist,
                                 exclusion_counts, povm_from_caves_triple,
                                 qubit_antidist_lp, search_exclusion_povm,
-                                verify_strong)
-from antimark.qcore import PartyLayout
+                                verify_no_witness, verify_strong)
+from antimark.qcore import PartyLayout, density
 
 
 def haar(dim, rng):
@@ -463,3 +463,120 @@ def test_verdict_serialization_roundtrip():
     assert doc["decision"] == "YES"
     assert doc["method"] == "caves"
     assert isinstance(doc["margins"], list)
+
+
+# ---------------------------------------------------------------------------
+# NO certificates: dual witnesses
+
+
+def pair_witness(a, b):
+    """(rho_a + rho_b - |rho_a - rho_b|) / 2, below both projectors."""
+    w, v = np.linalg.eigh(density(a) - density(b))
+    return (density(a) + density(b) - (v * np.abs(w)) @ v.conj().T) / 2.0
+
+
+def quartet(i):
+    """The criterion-13 quartet of generator seed 1000 + i."""
+    rng = np.random.default_rng(1000 + i)
+    return Ensemble(f"q{i}", PartyLayout((3,)), [f"s{j}" for j in range(4)],
+                    [haar(3, rng) for _ in range(4)])
+
+
+# Verdicts of the quartets at seeds 1000..1099 before the core returned
+# witnesses: T triple_cover, S search, U UNKNOWN after the default budget.
+QUARTET_BEFORE = ("TUUUSUSTTUTTSUTTTUTTTUSUTSUSUUUSUSSSTTTUTUSUSTUUTT"
+                  "TTTTTUTTTUTSUTTTUTSUTSTSTSTUTSTSTUSTUTTUTTTTSTTTUU")
+NO_QUARTETS = [i for i, c in enumerate(QUARTET_BEFORE) if c == "U" and i != 3]
+
+
+def test_quartets_keep_every_yes_and_certify_the_rest():
+    unknown = []
+    for i, before in enumerate(QUARTET_BEFORE):
+        e = quartet(i)
+        v = decide_antidist(e)
+        if before != "U":
+            assert (v.decision, v.method) == ("YES", {"T": "triple_cover",
+                                                      "S": "search"}[before]), i
+        elif v.decision == "UNKNOWN":
+            unknown.append(i)
+        else:
+            assert (v.decision, v.method) == ("NO", "witness"), i
+            margin = verify_no_witness(e, v.witness)
+            assert margin > 1e-8, i
+            assert v.margins == [margin]
+    assert len(unknown) <= 1
+
+
+def test_core_witness_bounds_every_compression():
+    e = quartet(NO_QUARTETS[0])
+    y = _support_core([[s] for s in e.states], 3, 1e-9, 3, 4000, 0)
+    assert isinstance(y, np.ndarray) and y.shape == (3, 3)
+    assert np.trace(y).real == pytest.approx(1.0, abs=1e-12)
+    top = max(np.linalg.eigvalsh(b.conj().T @ y @ b)[-1]
+              for b in (_orthocomplement([s], 3) for s in e.states))
+    assert 1.0 - 3 * max(top, 0.0) > 0.0
+    # the measurement-building view of the core sees no measurement
+    assert _support_feasible([[s] for s in e.states], 3, tol=1e-9) is None
+
+
+@settings(max_examples=20, deadline=None)
+@given(i=st.sampled_from(NO_QUARTETS), seed=st.integers(0, 2 ** 32 - 1),
+       embed=st.booleans())
+def test_witness_no_is_invariant_under_unitaries_phases_relabelling_and_embedding(
+        i, seed, embed):
+    e = quartet(i)
+    rng = np.random.default_rng(seed)
+    d = 4 if embed else 3
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    phases = np.exp(2j * math.pi * rng.uniform(size=4))
+    order = rng.permutation(4)
+    states = [np.concatenate([s, np.zeros(d - 3)]) for s in e.states]
+    moved = Ensemble("moved", PartyLayout((d,)), [f"r{k}" for k in range(4)],
+                     [phases[k] * (u @ states[k]) for k in order])
+    v = decide_antidist(moved)
+    assert (v.decision, v.method) == ("NO", "witness")
+    assert verify_no_witness(moved, v.witness) > 1e-8
+
+
+def test_verify_no_witness_rejects_what_proves_nothing():
+    e = quartet(NO_QUARTETS[0])
+    y = decide_antidist(e).witness
+    assert verify_no_witness(e, y) > 0
+    assert verify_no_witness(e, -y) <= 0
+    traceless = y - np.trace(y).real / 3 * np.eye(3)
+    assert verify_no_witness(e, traceless) <= 0
+    assert verify_no_witness(e, traceless - 1e-3 * np.eye(3)) <= 0
+    # a pair witness proves nothing about an antidistinguishable ensemble
+    t = trine3()
+    assert verify_no_witness(t, pair_witness(t.states[0], t.states[1])) <= 0
+    with pytest.raises(ValueError):
+        verify_no_witness(e, np.eye(2))
+
+
+def test_pair_route_decides_two_states_exactly():
+    rng = np.random.default_rng(3)
+    for d in (3, 4):
+        a, b = haar(d, rng), haar(d, rng)
+        e = Ensemble("pair", PartyLayout((d,)), ["a", "b"], [a, b])
+        v = decide_antidist(e)
+        assert (v.decision, v.method) == ("NO", "pair")
+        x = abs(np.vdot(a, b)) ** 2
+        assert v.margins[0] == pytest.approx(1.0 - math.sqrt(1.0 - x), rel=1e-9)
+        assert verify_no_witness(e, v.witness) == pytest.approx(v.margins[0], rel=1e-9)
+        np.testing.assert_allclose(v.witness, pair_witness(a, b), atol=1e-12)
+
+        b_perp = b - np.vdot(a, b) * a
+        e = Ensemble("pair", PartyLayout((d,)), ["a", "b"], [a, b_perp / np.linalg.norm(b_perp)])
+        v = decide_antidist(e)
+        assert (v.decision, v.method) == ("YES", "pair")
+        assert verify_strong(e, v.certificate, tol=1e-9).passed
+        assert v.witness is None
+
+
+def test_verdict_writes_its_witness():
+    e = quartet(NO_QUARTETS[0])
+    v = decide_antidist(e)
+    doc = v.to_dict()
+    back = np.array([[complex(re, im) for re, im in row] for row in doc["witness"]])
+    np.testing.assert_allclose(back, v.witness, atol=0)
+    assert decide_antidist(trine3()).to_dict()["witness"] is None
