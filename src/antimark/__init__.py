@@ -4,8 +4,8 @@ from .ensembles import (Ensemble, SequenceEnsemble, angle_ket, bell4, bennett9,
                         build_catalog, catalog, double_sic_antiparallel, duan4,
                         local_part, nl1, nl2, parse_ensemble, pbr4,
                         product_ensemble, qubit_perp, qutrit_sum, restrict,
-                        sequence_ensemble, sic4, sic_kets, su3, theta4, trine3,
-                        weak3)
+                        sequence_ensemble, sequence_local_part, sic4, sic_kets,
+                        su3, theta4, trine3, weak3)
 from .exclusion import (CavesReport, ExclusionCounts, Povm, StrongReport,
                         Verdict, caves_criterion, compose_union,
                         decide_antidist, exclusion_counts, povm_from_caves_triple,
@@ -29,7 +29,8 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_TOL", "DataError", "PartyLayout",
     "Ensemble", "SequenceEnsemble", "product_ensemble", "sequence_ensemble",
-    "local_part", "restrict", "catalog", "build_catalog", "parse_ensemble",
+    "sequence_local_part", "local_part", "restrict", "catalog", "build_catalog",
+    "parse_ensemble",
     "angle_ket", "qubit_perp", "qutrit_sum", "sic_kets",
     "weak3", "trine3", "bell4", "bennett9", "duan4", "nl1", "sic4",
     "double_sic_antiparallel", "pbr4", "theta4", "nl2", "su3",

@@ -16,7 +16,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .qcore import DataError, PartyLayout, canonical_phase, kron, same_up_to_phase
+from .qcore import DEFAULT_TOL, DataError, PartyLayout, canonical_phase, kron
 
 # ---------------------------------------------------------------------------
 # single-qubit kets used by the catalog
@@ -151,27 +151,61 @@ def _repartition(parent: Ensemble, tup: tuple[int, ...]) -> np.ndarray:
     return full.reshape(slot_major_dims).transpose(perm).reshape(-1)
 
 
-def sequence_ensemble(parent: Ensemble, n: int) -> SequenceEnsemble:
-    """The ensemble of all N!/(N-n)! non-repetitive index sequences of length n."""
+def _sequence_tuples(parent: Ensemble, n: int) -> list[tuple[int, ...]]:
+    """The index tuples of the length-n sequence task, after its length and
+    size limits."""
     if not 1 <= n <= parent.n_states:
         raise ValueError(f"sequence length must be in 1..{parent.n_states}")
     dim = max(parent.layout.dims) ** n
     if parent.layout.dim ** n > 4096 or dim > 4096:
         raise ValueError("sequence ensemble too large to materialize")
-    tuples = list(permutations(range(parent.n_states), n))
-    labels = ["(" + ",".join(parent.labels[i] for i in tup) + ")" for tup in tuples]
+    return list(permutations(range(parent.n_states), n))
+
+
+def _sequence_label(parent: Ensemble, tup: tuple[int, ...]) -> str:
+    return "(" + ",".join(parent.labels[i] for i in tup) + ")"
+
+
+def _slot_factors(parent: Ensemble, tup: tuple[int, ...], p: int) -> np.ndarray:
+    """Party p's factor of a sequence: its n parent factors, tensored in draw order."""
+    return _kron_all([parent.factors[parent.labels[i]][p] for i in tup])
+
+
+def sequence_ensemble(parent: Ensemble, n: int) -> SequenceEnsemble:
+    """The ensemble of all N!/(N-n)! non-repetitive index sequences of length n."""
+    tuples = _sequence_tuples(parent, n)
+    labels = [_sequence_label(parent, tup) for tup in tuples]
     states = [_repartition(parent, tup) for tup in tuples]
     layout = PartyLayout(tuple(d ** n for d in parent.layout.dims), parent.layout.names)
     factors = None
     if parent.is_product:
-        factors = {}
-        for lab, tup in zip(labels, tuples):
-            factors[lab] = tuple(
-                _kron_all([parent.factors[parent.labels[i]][p] for i in tup])
-                for p in range(parent.layout.n_parties)
-            )
+        factors = {lab: tuple(_slot_factors(parent, tup, p)
+                              for p in range(parent.layout.n_parties))
+                   for lab, tup in zip(labels, tuples)}
     return SequenceEnsemble(f"{parent.name}^[{n}]", layout, labels, states, factors,
                             parent=parent, n=n, index_tuples=tuples)
+
+
+def _local_ensemble(name: str, party: str, dim: int, labels, kets,
+                    deduplicate: bool) -> Ensemble:
+    """One party's local ensemble from its factor kets, in order: each ket in
+    its canonical phase, dropping any within DEFAULT_TOL (entrywise) of a kept
+    one -- the test of ``same_up_to_phase`` -- so the first label is kept."""
+    kept_labels, kept = [], []
+    for lab, f in zip(labels, kets):
+        v = canonical_phase(f)
+        if (deduplicate and kept
+                and np.min(np.max(np.abs(np.array(kept) - v), axis=1)) <= DEFAULT_TOL):
+            continue
+        kept_labels.append(lab)
+        kept.append(v)
+    if len(kept) < 2:
+        raise ValueError(f"local part of party {party} has fewer than 2 distinct states")
+    return Ensemble(f"{name}|{party}", PartyLayout((dim,), (party,)), kept_labels, kept)
+
+
+def _party_index(e: Ensemble, party) -> int:
+    return party if isinstance(party, int) else e.layout.index_of(party)
 
 
 def local_part(e: Ensemble, party, deduplicate: bool = True) -> Ensemble:
@@ -182,19 +216,30 @@ def local_part(e: Ensemble, party, deduplicate: bool = True) -> Ensemble:
     """
     if not e.is_product:
         raise ValueError("local_part requires a product ensemble")
-    p = party if isinstance(party, int) else e.layout.index_of(party)
-    name = e.layout.names[p]
-    labels, kets = [], []
-    for lab in e.labels:
-        f = e.factors[lab][p]
-        if deduplicate and any(same_up_to_phase(f, g) for g in kets):
-            continue
-        labels.append(lab)
-        kets.append(f)
-    if len(kets) < 2:
-        raise ValueError(f"local part of party {name} has fewer than 2 distinct states")
-    return Ensemble(f"{e.name}|{name}", PartyLayout((e.layout.dims[p],), (name,)),
-                    labels, [canonical_phase(v) for v in kets])
+    p = _party_index(e, party)
+    return _local_ensemble(e.name, e.layout.names[p], e.layout.dims[p], e.labels,
+                           (e.factors[lab][p] for lab in e.labels), deduplicate)
+
+
+def sequence_local_part(parent: Ensemble, n: int, party) -> Ensemble:
+    """The named party's local part of the length-n sequence task, built from
+    the parent's factors alone.
+
+    Equal to ``local_part(sequence_ensemble(parent, n), party)`` -- labels,
+    name, layout and kets -- without materialising the sequence ensemble; the
+    same length and size limits raise the same ValueError.  A single draw is
+    the parent itself, as in ``LsamTask.sequences``.
+    """
+    if n == 1:
+        return local_part(parent, party)
+    tuples = _sequence_tuples(parent, n)
+    if not parent.is_product:
+        raise ValueError("local_part requires a product ensemble")
+    p = _party_index(parent, party)
+    return _local_ensemble(f"{parent.name}^[{n}]", parent.layout.names[p],
+                           parent.layout.dims[p] ** n,
+                           [_sequence_label(parent, tup) for tup in tuples],
+                           (_slot_factors(parent, tup, p) for tup in tuples), True)
 
 
 def restrict(e: Ensemble, labels) -> Ensemble:

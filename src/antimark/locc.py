@@ -307,14 +307,68 @@ def _rotation_phase(b: complex, c: complex) -> float:
     return math.atan2(big_a, -big_b) % math.pi
 
 
+def _rotate_pair(a: np.ndarray, u: np.ndarray, i: int, j: int, target: complex) -> None:
+    """Rotate the pair (i, j) of a, and the rows of u with it, so that a[i, i]
+    lands on the point of the segment [a[i, i], a[j, j]] nearest to target.
+
+    With w = a_ii - a_jj, the phase phi makes the off-diagonal combination r
+    real, and the angle t then moves a_ii to the mean plus
+    (w / |w|) (|w| cos 2t + r sin 2t) / 2; the root solves that for the
+    target's offset s along the segment, and at s = 0 it is the rotation to
+    the mean.
+    """
+    w = a[i, i] - a[j, j]
+    phase = w / abs(w)
+    b, c = a[i, j] / phase, a[j, i] / phase
+    phi = _rotation_phase(b, c)
+    r = float((b * np.exp(-1j * phi) + c * np.exp(1j * phi)).real)
+    two_s = 2.0 * ((target - (a[i, i] + a[j, j]) / 2.0) / phase).real
+    rho = math.hypot(abs(w), r)
+    t = 0.5 * (math.atan2(r, abs(w)) - math.acos(max(-1.0, min(1.0, two_s / rho))))
+    v = np.array([[math.cos(t), np.exp(1j * phi) * math.sin(t)],
+                  [-np.exp(-1j * phi) * math.sin(t), math.cos(t)]],
+                 dtype=np.complex128)
+    idx = [i, j]
+    a[idx, :] = v @ a[idx, :]
+    a[:, idx] = a[:, idx] @ v.conj().T
+    u[idx, :] = v @ u[idx, :]
+
+
+def _hull_exit(diag: np.ndarray, i: int, others: list[int],
+               tiny: float) -> tuple[int, int | None, complex]:
+    """Where the ray from diag[i] through 0 leaves the hull of diag[others]:
+    the edge (j, k) it crosses there and the crossing point; k is None when
+    the crossing is the entry j itself.  Entries within tiny of the ray count
+    as on it."""
+    z = diag[others] * (-abs(diag[i]) / diag[i])   # the ray is the positive real axis
+    x, y = z.real, np.where(np.abs(z.imag) <= tiny, 0.0, z.imag)
+    nearest = others[int(np.argmin(np.abs(z.imag)))]
+    best_x, best = -math.inf, (nearest, None, diag[nearest])
+    for s, js in enumerate(others):
+        if y[s] == 0.0 and x[s] > best_x:
+            best_x, best = x[s], (js, None, diag[js])
+        if y[s] >= 0.0:
+            continue
+        for t, kt in enumerate(others):
+            if y[t] > 0.0:
+                mu = y[t] / (y[t] - y[s])
+                cross = mu * x[s] + (1.0 - mu) * x[t]
+                if cross > best_x:
+                    best_x, best = cross, (js, kt, mu * diag[js] + (1.0 - mu) * diag[kt])
+    return best
+
+
 def zero_diagonal_unitary(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Unitary U making diag(U A U^dag) vanish for a traceless square A.
 
-    Repeatedly rotates the pair holding the largest diagonal entry so both
-    entries become their mean; with a traceless matrix the diagonal contracts
-    geometrically to zero.  Each two-by-two rotation, and the phase that
-    aligns its off-diagonal combination with the diagonal gap, come from
-    closed forms.
+    A finite construction of at most 2n - 3 two-by-two rotations (Fillmore,
+    Amer. Math. Monthly 76, 167, 1969).  The diagonal of a traceless matrix
+    has 0 in its convex hull.  At each stage the largest entry d_i is taken;
+    the ray from d_i through 0 leaves the hull of the other entries on an
+    edge [d_j, d_k].  One rotation of (j, k) puts that crossing point at j, a
+    second of (i, j) puts 0 at i, and i is dropped from the traceless rest;
+    a two-by-two rest is rotated to its mean.  Each rotation takes its phase
+    and angle in closed form.
     """
     a = np.array(mat, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -325,27 +379,25 @@ def zero_diagonal_unitary(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise ValueError("matrix must be traceless")
     u = np.eye(n, dtype=np.complex128)
     target = max(tol * 1e-2, 5e-14 * scale)
-    for _ in range(120 * n * n):
+    tiny = 1e-15 * scale
+    rest = list(range(n))
+    while len(rest) >= 2:
         diag = np.diag(a)
-        i = int(np.argmax(np.abs(diag)))
+        i = rest[int(np.argmax(np.abs(diag[rest])))]
         if abs(diag[i]) <= target:
             break
-        j = int(np.argmax(np.abs(diag - diag[i]) + np.where(np.arange(n) == i, -np.inf, 0.0)))
-        w = diag[i] - diag[j]
-        if abs(w) < 1e-15 * scale:
+        others = [k for k in rest if k != i]
+        if len(others) == 1:
+            j = others[0]
+            if abs(diag[i] - diag[j]) > tiny:
+                _rotate_pair(a, u, i, j, (diag[i] + diag[j]) / 2.0)
             break
-        phase = w / abs(w)
-        b, c = a[i, j] / phase, a[j, i] / phase
-        phi = _rotation_phase(b, c)
-        r = float((b * np.exp(-1j * phi) + c * np.exp(1j * phi)).real)
-        t = 0.5 * math.atan2(-abs(w), r)
-        v = np.array([[math.cos(t), np.exp(1j * phi) * math.sin(t)],
-                      [-np.exp(-1j * phi) * math.sin(t), math.cos(t)]],
-                     dtype=np.complex128)
-        idx = [i, j]
-        a[idx, :] = v @ a[idx, :]
-        a[:, idx] = a[:, idx] @ v.conj().T
-        u[idx, :] = v @ u[idx, :]
+        j, k, cross = _hull_exit(diag, i, others, tiny)
+        if k is not None and abs(diag[j] - diag[k]) > tiny:
+            _rotate_pair(a, u, j, k, cross)
+        if abs(a[i, i] - a[j, j]) > tiny:
+            _rotate_pair(a, u, i, j, 0.0)
+        rest.remove(i)
     final = float(np.max(np.abs(np.diag(a))))
     if final > tol:
         raise RuntimeError(f"diagonal reduction stalled at {final:.3e}")

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import Ensemble, local_part, nl2, sequence_ensemble, theta4
-from .exclusion import (Povm, Verdict, _support_feasible, decide_antidist,
-                        exclusion_counts)
+from .ensembles import Ensemble, nl2, sequence_ensemble, sequence_local_part, theta4
+from .exclusion import (Povm, Verdict, _support_feasible, caves_criterion,
+                        decide_antidist, exclusion_counts)
 from .locc import LoccProtocol, _mapped_outcomes, flatten_protocol, verify_local_protocol
 from .qcore import DEFAULT_TOL, PartyLayout, kron, outcome_table, povm_residuals
 
@@ -67,7 +67,9 @@ def check_lsam(task, n: int | None = None, m: int | None = None,
     part of the sequence ensemble goes through decide_antidist: any YES gives
     YES (a party can locally name an absent sequence); all NO gives NO, valid
     for full product parents; otherwise UNKNOWN.  Only m = 1 has a criterion,
-    and the parent must be a product ensemble.
+    and the parent must be a product ensemble.  The local parts come from the
+    parent's factors (sequence_local_part), so the sequence ensemble itself is
+    never built; its size limit still applies and raises the same ValueError.
     """
     if isinstance(task, Ensemble):
         task = LsamTask(task, 1 if n is None else n, 1 if m is None else m)
@@ -78,10 +80,9 @@ def check_lsam(task, n: int | None = None, m: int | None = None,
                          "with verify_sequence_elimination instead")
     if not task.parent.is_product:
         raise ValueError("the local-part criterion needs a product parent")
-    seq = task.sequences()
-    names = seq.layout.names
-    parts = {names[p]: decide_antidist(local_part(seq, p), tol=tol, seed=seed)
-             for p in range(seq.layout.n_parties)}
+    parts = {name: decide_antidist(sequence_local_part(task.parent, task.n, p),
+                                   tol=tol, seed=seed)
+             for p, name in enumerate(task.parent.layout.names)}
     for name, v in parts.items():
         if v.decision == "YES":
             return Verdict("YES", "local_part_criterion", margins=list(v.margins),
@@ -295,22 +296,24 @@ class SweepResult:
     regions: list[tuple[float, float]]  # where the family's gap flag holds
 
 
-def _nl2_flags(theta: float) -> dict[str, bool]:
-    from .exclusion import caves_criterion
+def _nl2_flags(theta: float, keys) -> dict[str, bool]:
+    """The requested flags at one tilt: the three-state verdict of nl2, and
+    whether some party's local part of the two-draw task passes it."""
     e = nl2(theta)
-    flags = {"global": caves_criterion(e.states).passed}
-    seq = sequence_ensemble(e, 2)
-    local = False
-    for p in range(3):
-        part = local_part(seq, p)
-        if part.n_states == 3 and caves_criterion(part.states).passed:
-            local = True
-            break
-    flags["local"] = local
+    flags = {}
+    if "global" in keys:
+        flags["global"] = caves_criterion(e.states).passed
+    if "local" in keys:
+        flags["local"] = False
+        for p in range(3):
+            part = sequence_local_part(e, 2, p)
+            if part.n_states == 3 and caves_criterion(part.states).passed:
+                flags["local"] = True
+                break
     return flags
 
 
-def _theta4_flags(theta: float) -> dict[str, bool]:
+def _theta4_flags(theta: float, keys) -> dict[str, bool]:
     return {"closed_form": abs(math.cos(2.0 * theta)) <= THETA_WINDOW}
 
 
@@ -325,9 +328,10 @@ def sweep_theta(family: str, grid) -> SweepResult:
 
     nl2 tracks the global three-state verdict and the local-part verdict of
     the two-draw task; theta4 tracks the closed-form positivity window.
-    Boundaries between differing neighbours are bisected to width 1e-6, and
-    the regions where the family's gap flag holds (nl2: global YES with local
-    NO) are reported between refined boundaries.
+    Boundaries between differing neighbours are bisected to width 1e-6, each
+    bisection step evaluating only the flag it bisects, and the regions where
+    the family's gap flag holds (nl2: global YES with local NO) are reported
+    between refined boundaries.
     """
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -340,7 +344,7 @@ def sweep_theta(family: str, grid) -> SweepResult:
     if grid[0] <= lo or grid[-1] >= hi:
         raise ValueError(f"grid must stay inside ({lo:g}, {hi:g})")
 
-    points = [SweepPoint(t, flag_fn(t)) for t in grid]
+    points = [SweepPoint(t, flag_fn(t, keys)) for t in grid]
     boundaries = []
     for key in keys:
         for (ta, fa), (tb, fb) in zip(((p.theta, p.flags) for p in points),
@@ -350,7 +354,7 @@ def sweep_theta(family: str, grid) -> SweepResult:
             a, b, va = ta, tb, fa[key]
             while b - a > 1e-6:
                 mid = (a + b) / 2.0
-                if flag_fn(mid)[key] == va:
+                if flag_fn(mid, (key,))[key] == va:
                     a = mid
                 else:
                     b = mid
@@ -362,7 +366,7 @@ def sweep_theta(family: str, grid) -> SweepResult:
     for a, b in zip(cells, cells[1:]):
         if b - a < 1e-9:
             continue
-        if gap(flag_fn((a + b) / 2.0)):
+        if gap(flag_fn((a + b) / 2.0, keys)):
             if regions and abs(regions[-1][1] - a) < 1e-9:
                 regions[-1] = (regions[-1][0], b)
             else:

@@ -1,6 +1,7 @@
 """End-to-end drives of the command line entry point."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -180,6 +181,16 @@ def test_sweep_reports_boundaries(capsys):
     assert code == 0
     assert "boundary near" in out
     assert "gap region" in out
+
+
+def test_sweep_nl2_json_boundaries(capsys):
+    code, out = run(capsys, "sweep", "--family", "nl2", "--min", "0.1",
+                    "--max", "3.0", "--steps", "60", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    edge = math.acos(1.0 / math.sqrt(3.0))
+    for target in (math.pi / 4.0, edge, math.pi - edge, 3.0 * math.pi / 4.0):
+        assert min(abs(b - target) for b in doc["boundaries"]) <= 1e-6, target
 
 
 def test_sweep_usage_errors(capsys):

@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from antimark.ensembles import (Ensemble, angle_ket, bell4, bennett9,
-                                build_catalog, catalog, duan4, local_part, nl1,
+from antimark.ensembles import (KET0, KET1, PLUS, Ensemble, angle_ket, bell4,
+                                bennett9, build_catalog, catalog, duan4,
+                                local_part, nl1,
                                 nl2, parse_ensemble, pbr4, product_ensemble,
                                 qubit_perp, qutrit_sum, restrict,
-                                sequence_ensemble, sic_kets, su3, theta4,
-                                trine3, weak3)
-from antimark.qcore import DataError, PartyLayout
+                                sequence_ensemble, sequence_local_part,
+                                sic_kets, su3, theta4, trine3, weak3)
+from antimark.qcore import DataError, PartyLayout, canonical_phase, same_up_to_phase
 
 
 def test_catalog_entries_build_and_are_normalized():
@@ -148,6 +149,97 @@ def test_local_part_deduplicates():
         local_part(bell4(), 0)  # not a product ensemble
     full = local_part(e, "A", deduplicate=False)
     assert full.n_states == 3
+
+
+def product_catalog():
+    """Every product catalog ensemble, the tilted ones at tilt 1.0."""
+    out = []
+    for name, entry in catalog().items():
+        e = build_catalog(name, **{q: 1.0 for q in entry["params"]})
+        if e.is_product:
+            out.append(e)
+    return out
+
+
+def built_or_error(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def assert_same_ensemble(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.name == want.name
+    assert got.labels == want.labels
+    assert got.layout == want.layout
+    assert len(got.states) == len(want.states)
+    for a, b in zip(got.states, want.states):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("parent", product_catalog(), ids=lambda e: e.name)
+def test_sequence_local_part_matches_the_materialised_local_part(parent):
+    for n in (1, 2, 3):
+        if n > parent.n_states:
+            continue
+        for p in range(parent.layout.n_parties):
+            got = built_or_error(lambda: sequence_local_part(parent, n, p))
+            if n == 1:
+                want = built_or_error(lambda: local_part(parent, p))
+            else:
+                want = built_or_error(lambda: local_part(sequence_ensemble(parent, n), p))
+            assert_same_ensemble(got, want)
+
+
+def test_sequence_local_part_keeps_the_size_limit_and_party_names():
+    with pytest.raises(ValueError, match="too large to materialize"):
+        sequence_local_part(bennett9(), 4, 0)
+    with pytest.raises(ValueError, match="sequence length"):
+        sequence_local_part(su3(), 4, 0)
+    with pytest.raises(ValueError, match="product"):
+        sequence_local_part(bell4(), 2, 0)
+    assert_same_ensemble(sequence_local_part(pbr4(), 2, "B"),
+                         local_part(sequence_ensemble(pbr4(), 2), 1))
+
+
+def pairwise_dedupe_labels(e, p):
+    """Reference: the labels kept by comparing each factor with every kept
+    one through same_up_to_phase."""
+    labels, kets = [], []
+    for lab in e.labels:
+        f = e.factors[lab][p]
+        if not any(same_up_to_phase(f, g) for g in kets):
+            labels.append(lab)
+            kets.append(f)
+    return labels, [canonical_phase(v) for v in kets]
+
+
+def near_duplicates():
+    """Party A holds |0>, a phase times |0>, a ket 1e-6 away from |0> and
+    |1>: only the phase copy merges."""
+    lay = PartyLayout((2, 2))
+    rows = [(KET0, KET0), (np.exp(0.7j) * KET0, PLUS), (angle_ket(1e-6), KET1),
+            (KET1, PLUS)]
+    return product_ensemble("near", lay, ["a", "b", "c", "d"], rows)
+
+
+@pytest.mark.parametrize("parent", product_catalog() + [near_duplicates()],
+                         ids=lambda e: e.name)
+def test_local_part_dedupe_matches_the_pairwise_test(parent):
+    for e in (parent, sequence_ensemble(parent, 2)):
+        for p in range(e.layout.n_parties):
+            labels, kets = pairwise_dedupe_labels(e, p)
+            if len(kets) < 2:
+                with pytest.raises(ValueError):
+                    local_part(e, p)
+                continue
+            part = local_part(e, p)
+            assert part.labels == labels
+            for a, b in zip(part.states, kets):
+                assert np.array_equal(a, b / np.linalg.norm(b))
 
 
 def test_restrict_orders_and_validates():

@@ -4,6 +4,8 @@ module-level function or class that nothing else refers to."""
 import ast
 from pathlib import Path
 
+import antimark
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "antimark"
 
 
@@ -62,3 +64,9 @@ def test_no_unreferenced_private_definitions():
         if not any(name in r for j, r in enumerate(refs) if j != i):
             dead.append(name)
     assert dead == []
+
+
+def test_every_exported_name_resolves():
+    assert len(set(antimark.__all__)) == len(antimark.__all__)
+    missing = [name for name in antimark.__all__ if not hasattr(antimark, name)]
+    assert missing == []

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from antimark.ensembles import (Ensemble, bell4, bennett9,
                                 double_sic_antiparallel, nl1, nl2,
                                 product_ensemble, sequence_ensemble)
+from antimark import locc
 from antimark.locc import (LoccProtocol, _rotation_phase,
                            bell_exclusion_protocol, bennett_exclusion_protocol,
                            build_pairwise_lad_protocol,
@@ -38,16 +39,42 @@ def random_orthogonal_pair(dim, rng):
 # zero-diagonal rotation and the Walgate decomposition
 
 
-def test_zero_diagonal_unitary_on_seeded_traceless_matrices():
+def traceless(rng, n, kind="complex"):
+    a = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if kind != "real" else 0.0)
+    if kind == "real":
+        a = a + a.T
+    elif kind == "hermitian":
+        a = a + a.conj().T
+    return a - np.trace(a) / n * np.eye(n)
+
+
+def assert_zero_diagonal(a, u, atol=1e-12):
+    n = a.shape[0]
+    np.testing.assert_allclose(u @ u.conj().T, np.eye(n), rtol=0, atol=atol)
+    assert np.max(np.abs(np.diag(u @ a @ u.conj().T))) <= atol
+
+
+def counting_rotations(monkeypatch):
+    """Count the two-by-two rotations: each takes its phase from _rotation_phase."""
+    calls = []
+
+    def counted(b, c):
+        calls.append(1)
+        return _rotation_phase(b, c)
+    monkeypatch.setattr(locc, "_rotation_phase", counted)
+    return calls
+
+
+def test_zero_diagonal_unitary_on_seeded_traceless_matrices(monkeypatch):
+    """At most 2n - 3 rotations, and a diagonal within 1e-12 (Fillmore)."""
     rng = np.random.default_rng(2)
-    for dim in (2, 3, 4):
-        for _ in range(10):
-            a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            a -= np.trace(a) / dim * np.eye(dim)
-            u = zero_diagonal_unitary(a)
-            np.testing.assert_allclose(u @ u.conj().T, np.eye(dim), atol=1e-12)
-            rotated = u @ a @ u.conj().T
-            assert np.max(np.abs(np.diag(rotated))) < 1e-10
+    calls = counting_rotations(monkeypatch)
+    for dim in range(2, 9):
+        for kind in ("complex",) * 8 + ("real", "hermitian"):
+            a = traceless(rng, dim, kind)
+            calls.clear()
+            assert_zero_diagonal(a, zero_diagonal_unitary(a))
+            assert len(calls) <= 2 * dim - 3
 
 
 def bisection_phase(b, c):
@@ -90,14 +117,97 @@ def test_zero_diagonal_unitary_rejects_nonzero_trace():
         zero_diagonal_unitary(np.eye(2))
 
 
+def geometric_zero_diagonal(mat, tol=1e-9):
+    """Reference: the geometric loop the finite construction replaced.  It
+    rotates the pair of the largest diagonal entry and the entry farthest from
+    it to their mean until the diagonal is below tolerance."""
+    a = np.array(mat, dtype=np.complex128)
+    n = a.shape[0]
+    scale = max(1.0, float(np.max(np.abs(a))))
+    u = np.eye(n, dtype=np.complex128)
+    target = max(tol * 1e-2, 5e-14 * scale)
+    for _ in range(120 * n * n):
+        diag = np.diag(a)
+        i = int(np.argmax(np.abs(diag)))
+        if abs(diag[i]) <= target:
+            break
+        j = int(np.argmax(np.abs(diag - diag[i]) + np.where(np.arange(n) == i, -np.inf, 0.0)))
+        w = diag[i] - diag[j]
+        if abs(w) < 1e-15 * scale:
+            break
+        phase = w / abs(w)
+        b, c = a[i, j] / phase, a[j, i] / phase
+        phi = _rotation_phase(b, c)
+        r = float((b * np.exp(-1j * phi) + c * np.exp(1j * phi)).real)
+        t = 0.5 * math.atan2(-abs(w), r)
+        v = np.array([[math.cos(t), np.exp(1j * phi) * math.sin(t)],
+                      [-np.exp(-1j * phi) * math.sin(t), math.cos(t)]])
+        idx = [i, j]
+        a[idx, :] = v @ a[idx, :]
+        a[:, idx] = a[:, idx] @ v.conj().T
+        u[idx, :] = v @ u[idx, :]
+    return u
+
+
+def test_zero_diagonal_unitary_two_by_two_matches_the_geometric_loop():
+    rng = np.random.default_rng(7)
+    for kind in ("complex", "real", "hermitian") * 5:
+        a = traceless(rng, 2, kind)
+        np.testing.assert_allclose(zero_diagonal_unitary(a), geometric_zero_diagonal(a),
+                                   rtol=0, atol=1e-15)
+
+
+def test_zero_diagonal_unitary_on_degenerate_diagonals(monkeypatch):
+    rng = np.random.default_rng(11)
+    calls = counting_rotations(monkeypatch)
+    zero = np.zeros((3, 3))
+    np.testing.assert_array_equal(zero_diagonal_unitary(zero), np.eye(3))
+    assert not calls
+    line = np.exp(0.6j) * np.diag([3.0, -1.0, -2.0])   # collinear with 0
+    off = traceless(rng, 3)
+    off -= np.diag(np.diag(off))
+    cases = [np.diag([1.0, -1.0, 0.0]), np.diag([2.0, -1.0, -1.0]), line, line + off,
+             np.diag([1.0, -1.0, 0.0, 0.0]) + 0.5 * np.eye(4, k=1) + 0.5 * np.eye(4, k=-1),
+             traceless(rng, 3, "real"), traceless(rng, 4, "hermitian")]
+    for a in cases:
+        calls.clear()
+        assert_zero_diagonal(a, zero_diagonal_unitary(a))
+        assert len(calls) <= 2 * a.shape[0] - 3
+    # a trace within the accepted slack leaves the ray off the other entries:
+    # the residual is the unavoidable |Tr A| / n
+    slack = np.diag([1.0, -0.5 + 1e-9j, -0.5 + 1e-9j])
+    u = zero_diagonal_unitary(slack, tol=1e-8)
+    assert np.max(np.abs(np.diag(u @ slack @ u.conj().T))) <= 1e-9
+    # orthogonal pairs of the nine product states: most diagonals are already
+    # zero and take no rotation; the pairs sharing a second factor take some
+    e = bennett9()
+    for p in range(9):
+        for q in range(p + 1, 9):
+            k = e.states[p].reshape(3, 3).conj() @ e.states[q].reshape(3, 3).T
+            calls.clear()
+            u = zero_diagonal_unitary(k)
+            if np.max(np.abs(np.diag(k))) <= 1e-15:
+                np.testing.assert_array_equal(u, np.eye(3))
+                assert not calls
+            assert_zero_diagonal(k, u)
+            assert len(calls) <= 3
+
+
+def test_zero_diagonal_unitary_needs_a_square_matrix_and_reports_a_stall():
+    with pytest.raises(ValueError):
+        zero_diagonal_unitary(np.zeros((2, 3)))
+    with pytest.raises(RuntimeError):
+        zero_diagonal_unitary(np.diag([1e-9, 0.0]), tol=1e-12)
+
+
 def test_walgate_basis_random_orthogonal_pairs():
     rng = np.random.default_rng(9)
-    for dims in ((2, 2), (3, 3), (2, 3)):
+    for dims in ((2, 2), (3, 3), (2, 3), (3, 2), (4, 4)):
         lay = PartyLayout(dims)
         for _ in range(8):
             psi, phi = random_orthogonal_pair(lay.dim, rng)
             dec = walgate_basis(psi, phi, lay)
-            assert dec.residual < 1e-9
+            assert dec.residual <= 1e-10
             # branch residues reassemble the original states
             d0 = dims[0]
             rebuilt = sum(np.kron(dec.basis[i], dec.eta[i]) for i in range(d0))

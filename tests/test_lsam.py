@@ -8,9 +8,11 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from antimark.ensembles import (bell4, duan4, nl1, pbr4, sequence_ensemble,
-                                su3, theta4)
-from antimark.exclusion import Povm, exclusion_counts
+from antimark import lsam
+from antimark.ensembles import (bell4, bennett9, duan4, local_part, nl1, nl2,
+                                pbr4, sequence_ensemble, su3, theta4)
+from antimark.exclusion import (Povm, caves_criterion, decide_antidist,
+                                exclusion_counts, verify_strong)
 from antimark.locc import LoccProtocol, flatten_protocol
 from antimark.lsam import (LsamTask, check_lsam, lift_first_slot, lsam_scaling,
                            pbr_sequence_measurement, sweep_theta,
@@ -84,6 +86,35 @@ def test_check_lsam_rejects_unsupported_tasks():
         check_lsam(bell4(), 2, 1)  # not a product parent
     with pytest.raises(ValueError):
         check_lsam(LsamTask(su3(), 2, 1), 2, 1)  # n alongside a task
+
+
+LSAM_PARENTS = {"su3": su3, "pbr4": pbr4, "duan4": duan4, "nl1": nl1,
+                "nl2(1.0)": lambda: nl2(1.0), "theta4(0.9)": lambda: theta4(0.9)}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("name", list(LSAM_PARENTS))
+def test_check_lsam_agrees_with_the_materialised_local_parts(name, n):
+    parent = LSAM_PARENTS[name]()
+    seq = LsamTask(parent, n).sequences()
+    want = {seq.layout.names[p]: decide_antidist(local_part(seq, p))
+            for p in range(seq.layout.n_parties)}
+    v = check_lsam(parent, n, 1)
+    assert v.method == "local_part_criterion"
+    decisions = [sub.decision for sub in want.values()]
+    expected = ("YES" if "YES" in decisions
+                else "NO" if all(d == "NO" for d in decisions) else "UNKNOWN")
+    assert v.decision == expected
+    assert {k: (sub.decision, sub.method) for k, sub in v.parts.items()} == \
+        {k: (sub.decision, sub.method) for k, sub in want.items()}
+    for p, party in enumerate(seq.layout.names):
+        if v.parts[party].decision == "YES":
+            assert verify_strong(local_part(seq, p), v.parts[party].certificate).passed
+
+
+def test_check_lsam_keeps_the_sequence_size_limit():
+    with pytest.raises(ValueError, match="too large to materialize"):
+        check_lsam(bennett9(), 4, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +331,37 @@ def test_sweep_theta4_boundaries_match_closed_form():
     assert abs(res.boundaries[0] - THETA_LO) <= 1e-6
     assert abs(res.boundaries[1] - THETA_HI) <= 1e-6
     assert len(res.regions) == 1
+
+
+def reference_nl2_flags(theta, keys):
+    """Reference: both flags at every call, read off the materialised
+    two-draw sequence ensemble."""
+    e = nl2(theta)
+    flags = {"global": caves_criterion(e.states).passed}
+    seq = sequence_ensemble(e, 2)
+    local = False
+    for p in range(3):
+        part = local_part(seq, p)
+        if part.n_states == 3 and caves_criterion(part.states).passed:
+            local = True
+            break
+    flags["local"] = local
+    return flags
+
+
+@pytest.mark.parametrize("grid", [
+    [float(t) for t in np.linspace(0.1, 3.0, 60)],
+    [k * math.pi / 400.0 for k in range(1, 400)],
+], ids=["benchmark", "criterion-10"])
+def test_sweep_nl2_matches_the_full_flag_evaluation(grid, monkeypatch):
+    fast = sweep_theta("nl2", grid)
+    entry = lsam._FAMILIES["nl2"]
+    monkeypatch.setitem(lsam._FAMILIES, "nl2", (reference_nl2_flags,) + entry[1:])
+    slow = sweep_theta("nl2", grid)
+    assert [(p.theta, p.flags) for p in fast.points] == \
+        [(p.theta, p.flags) for p in slow.points]
+    assert fast.boundaries == slow.boundaries
+    assert fast.regions == slow.regions
 
 
 def test_sweep_validates_input():
