@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -91,14 +92,21 @@ def _build_parser() -> _Parser:
 
 
 def _tolerance(args) -> float:
+    """--tol, else ANTIMARK_TOL, else DEFAULT_TOL; either source must give a
+    finite positive number."""
     if args.tol is not None:
+        if not (math.isfinite(args.tol) and args.tol > 0.0):
+            raise _UsageError(f"--tol must be a finite positive number, got {args.tol!r}")
         return args.tol
     env = os.environ.get("ANTIMARK_TOL")
     if env:
         try:
-            return float(env)
+            tol = float(env)
         except ValueError as exc:
             raise DataError(f"ANTIMARK_TOL is not a number: {env!r}") from exc
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise DataError(f"ANTIMARK_TOL must be a finite positive number, got {env!r}")
+        return tol
     return DEFAULT_TOL
 
 

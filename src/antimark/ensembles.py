@@ -54,6 +54,13 @@ def _kron_all(factors) -> np.ndarray:
     return out
 
 
+def check_norm(lab, nrm: float) -> float:
+    """``nrm``, the norm of state ``lab``; ValueError unless it is 1 within 1e-9."""
+    if not abs(nrm - 1.0) <= 1e-9:
+        raise ValueError(f"state {lab} not normalized (|v| = {nrm!r})")
+    return nrm
+
+
 # ---------------------------------------------------------------------------
 # containers
 
@@ -80,10 +87,7 @@ class Ensemble:
             v = np.asarray(v, dtype=np.complex128).reshape(-1)
             if v.size != self.layout.dim:
                 raise ValueError(f"state {lab}: size {v.size} != layout dim {self.layout.dim}")
-            nrm = float(np.linalg.norm(v))
-            if abs(nrm - 1.0) > 1e-9:
-                raise ValueError(f"state {lab} not normalized (|v| = {nrm!r})")
-            clean.append(v / nrm)
+            clean.append(v / check_norm(lab, float(np.linalg.norm(v))))
         self.states = clean
         if self.factors is not None:
             for lab in self.labels:

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
-from .ensembles import Ensemble, restrict
+from .ensembles import Ensemble, check_norm, restrict
 from .qcore import (DEFAULT_TOL, PartyLayout, density, mat_to_pairs, outcome_table,
                     povm_residuals, same_up_to_phase)
 from .simplex import simplex_maximize
@@ -208,28 +208,51 @@ class CavesReport:
         }
 
 
+def _caves_inequalities(x12, x13, x23, boundary_tol: float):
+    """The criterion on squared overlaps, scalars or arrays alike: the overlap
+    sum, both sides of the quartic inequality, and whether the strict sum and
+    the widened quartic hold."""
+    total = x12 + x13 + x23
+    lhs = (1.0 - total) ** 2
+    rhs = 4.0 * x12 * x13 * x23
+    return total, lhs, rhs, total < 1.0 - boundary_tol, lhs >= rhs - boundary_tol
+
+
 def caves_criterion(states, boundary_tol: float = BOUNDARY_TOL) -> CavesReport:
     """Exact antidistinguishability test for exactly three pure states.
 
     With x_ij the squared overlaps, the triple passes iff x12+x13+x23 < 1 and
     (1 - sum)^2 >= 4 x12 x13 x23.  The boundary tolerance widens the quartic
-    inequality (equality instances pass) and tightens the strict sum.
+    inequality (equality instances pass) and tightens the strict sum.  The
+    kets must be normalized within 1e-9 (ValueError otherwise), since the
+    criterion reads overlaps as probabilities.
     """
     vecs = [_ket(s) for s in states]
     if len(vecs) != 3:
         raise ValueError(f"the three-state criterion needs exactly 3 states, got {len(vecs)}")
     if len({v.size for v in vecs}) != 1:
         raise ValueError("states must share a dimension")
-    x12 = abs(np.vdot(vecs[0], vecs[1])) ** 2
-    x13 = abs(np.vdot(vecs[0], vecs[2])) ** 2
-    x23 = abs(np.vdot(vecs[1], vecs[2])) ** 2
-    total = x12 + x13 + x23
-    lhs = (1.0 - total) ** 2
-    rhs = 4.0 * x12 * x13 * x23
-    sum_ok = bool(total < 1.0 - boundary_tol)
-    quartic_ok = bool(lhs >= rhs - boundary_tol)
-    return CavesReport(float(x12), float(x13), float(x23), float(total),
-                       float(lhs), float(rhs), sum_ok, quartic_ok, boundary_tol)
+    for i, v in enumerate(vecs):
+        check_norm(i, math.sqrt(np.vdot(v, v).real))
+    x12, x13, x23 = (float(abs(np.vdot(vecs[i], vecs[j]))) ** 2
+                     for i, j in ((0, 1), (0, 2), (1, 2)))
+    total, lhs, rhs, sum_ok, quartic_ok = _caves_inequalities(x12, x13, x23, boundary_tol)
+    return CavesReport(x12, x13, x23, total, lhs, rhs, sum_ok, quartic_ok, boundary_tol)
+
+
+def _triple_screen(states, boundary_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every index triple of the states, in ``combinations`` order, as a
+    (C(k,3), 3) array, and which of them pass the criterion: one Gram matrix
+    of squared overlaps and ``_caves_inequalities`` on its entries, the
+    formula ``caves_criterion`` applies to each triple's three overlaps."""
+    s = np.stack([_ket(v) for v in states])
+    x = np.abs(s.conj() @ s.T) ** 2
+    k = len(s)
+    idx = np.fromiter(chain.from_iterable(combinations(range(k), 3)),
+                      dtype=np.intp).reshape(-1, 3)
+    a, b, c = idx.T
+    *_, sum_ok, quartic_ok = _caves_inequalities(x[a, b], x[a, c], x[b, c], boundary_tol)
+    return idx, sum_ok & quartic_ok
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +345,8 @@ def qubit_antidist_lp(states, labels=None, tol: float = DEFAULT_TOL) -> Verdict:
     labels = list(labels)
     if len(labels) != len(vecs):
         raise ValueError("labels and states must have equal length")
+    for lab, v in zip(labels, vecs):
+        check_norm(lab, math.sqrt(np.vdot(v, v).real))
 
     reps: list[int] = []
     owner: list[int] = []
@@ -364,8 +389,10 @@ def compose_union(e: Ensemble, parts, tol: float = DEFAULT_TOL) -> Povm:
 
     ``parts`` is a list of (labels, Povm) pairs whose label sets must jointly
     cover every state.  Each sub-measurement is re-verified on its restricted
-    ensemble, scaled by 1/len(parts), and concatenated with labels kept, so
-    the result passes verify_strong on the full ensemble by construction.
+    ensemble, then ``_union`` scales them by 1/len(parts) and concatenates
+    them with labels kept, so the result passes verify_strong on the full
+    ensemble by construction.  ``decide_antidist`` calls ``_union`` directly
+    on the triple measurements it has just certified.
     """
     parts = list(parts)
     if not parts:
@@ -376,17 +403,19 @@ def compose_union(e: Ensemble, parts, tol: float = DEFAULT_TOL) -> Povm:
     missing = [lab for lab in e.labels if lab not in covered]
     if missing:
         raise ValueError(f"subsets do not cover: {missing}")
-    k = len(parts)
-    elements: list[np.ndarray] = []
-    labels: list[str | None] = []
     for labs, sub in parts:
-        sub_e = restrict(e, labs)
-        rep = verify_strong(sub_e, sub, tol=tol)
+        rep = verify_strong(restrict(e, labs), sub, tol=tol)
         if not rep.passed:
             raise ValueError(f"subset {list(labs)} fails verification: {rep.failures[:1]}")
-        for mat, lab in zip(sub.elements, sub.labels):
-            elements.append(mat / k)
-            labels.append(lab)
+    return _union(e, parts)
+
+
+def _union(e: Ensemble, parts) -> Povm:
+    """The verified sub-measurements of ``parts``, each scaled by
+    1/len(parts), as one labeled measurement on the ensemble's layout."""
+    k = len(parts)
+    elements = [mat / k for _, sub in parts for mat in sub.elements]
+    labels = [lab for _, sub in parts for lab in sub.labels]
     return Povm(e.layout, elements, labels, name=f"union of {k} subsets")
 
 
@@ -662,7 +691,8 @@ def povm_from_caves_triple(states, labels=None, layout: PartyLayout | None = Non
     state's orthogonal complement.  The orthogonal complement of the span is
     split evenly across the elements; the result must pass verify_strong at
     max(tol, 1e-10), and a RuntimeError reports a core that finds nothing or
-    a certificate that fails.
+    a certificate that fails.  A triple that fails the criterion, or holds a
+    ket whose norm is not 1 within 1e-9, raises ValueError.
     """
     vecs = [_ket(s) for s in states]
     rep = caves_criterion(vecs)
@@ -753,6 +783,34 @@ def _as_ensemble(obj) -> Ensemble:
                     [f"s{i}" for i in range(len(vecs))], vecs)
 
 
+def _triple_cover(e: Ensemble, tol: float, seed: int
+                  ) -> list[tuple[tuple[int, int, int], Povm]] | None:
+    """Greedy cover of the ensemble by passing triples, each with its
+    certified measurement from ``povm_from_caves_triple``, or None, by the
+    choice rule of route (4) of ``decide_antidist``.  No measurement is built
+    once the live triples no longer reach every state."""
+    idx, alive = _triple_screen(e.states, tol)
+    member = np.zeros((len(idx), e.n_states), dtype=bool)
+    member[np.arange(len(idx))[:, None], idx] = True
+    covered = np.zeros(e.n_states, dtype=bool)
+    cover = []
+    while not covered.all() and member[alive].any(axis=0).all():
+        u = int(np.argmin(covered))
+        fresh = member[:, ~covered].sum(axis=1)
+        t = int(np.argmax(np.where(alive & member[:, u], fresh, -1)))
+        tri = tuple(idx[t].tolist())
+        try:
+            sub = povm_from_caves_triple(
+                [e.states[i] for i in tri], [e.labels[i] for i in tri],
+                layout=e.layout, tol=tol, seed=seed)
+        except (ValueError, RuntimeError):
+            alive[t] = False
+            continue
+        cover.append((tri, sub))
+        covered[idx[t]] = True
+    return cover if covered.all() else None
+
+
 def decide_antidist(ensemble, tol: float = DEFAULT_TOL, seed: int = 0,
                     restarts: int = 3, iters: int = 4000) -> Verdict:
     """Decide strong antidistinguishability of an ensemble of pure states.
@@ -761,11 +819,14 @@ def decide_antidist(ensemble, tol: float = DEFAULT_TOL, seed: int = 0,
     certified measurement on YES; (2) single-qubit states, the exact weight
     program; (3) two states, exact: YES when orthogonal, else NO with a
     closed-form witness (method "pair"); (4) four or more states, a greedy
-    cover by passing triples composed into a union certificate: the smallest
-    uncovered state takes, of the passing triples that hold it, the one
-    covering most uncovered states (ties in enumeration order); a triple
+    cover by passing triples, screened all at once from one Gram matrix: the
+    smallest uncovered state takes, of the passing triples that hold it, the
+    one covering most uncovered states (ties in enumeration order); a triple
     whose measurement cannot be certified is dropped for the next, so a cover
-    is found whenever the certified triples admit one; (5) one call of the
+    is found whenever the certified triples admit one; the triple
+    measurements, each checked once by ``povm_from_caves_triple``, are
+    assembled as ``compose_union`` assembles, and the margins come from
+    ``caves_criterion`` on the chosen triples; (5) one call of the
     feasibility core, which ends at a measurement (YES, method "search") or
     at a dual witness, rescaled to Y <= rho_j for every j (NO, method
     "witness", when verify_no_witness gives more than the search's
@@ -793,33 +854,11 @@ def decide_antidist(ensemble, tol: float = DEFAULT_TOL, seed: int = 0,
         return _pair_verdict(e, tol)
 
     if k >= 4:
-        passing = {}
-        for t in combinations(range(k), 3):
-            rep = caves_criterion([e.states[i] for i in t], boundary_tol=tol)
-            if rep.passed:
-                passing[t] = rep
-        cover: list[tuple[tuple[int, int, int], Povm]] = []
-        covered: set[int] = set()
-        # no measurement is built unless the passing triples still reach every state
-        while len(covered) < k and len({i for t in passing for i in t}) == k:
-            u = min(set(range(k)) - covered)
-            options = sorted((t for t in passing if u in t),
-                             key=lambda t: -len(set(t) - covered))
-            for t in options:
-                try:
-                    sub = povm_from_caves_triple(
-                        [e.states[i] for i in t], [e.labels[i] for i in t],
-                        layout=e.layout, tol=tol, seed=seed)
-                except (ValueError, RuntimeError):
-                    del passing[t]
-                    continue
-                cover.append((t, sub))
-                covered.update(t)
-                break
-        if len(covered) == k:
-            union = compose_union(e, [([e.labels[i] for i in t], sub) for t, sub in cover],
-                                  tol=max(tol, 1e-9))
-            reports = [passing[t] for t, _ in cover]
+        cover = _triple_cover(e, tol, seed)
+        if cover is not None:
+            union = _union(e, [([e.labels[i] for i in t], sub) for t, sub in cover])
+            reports = [caves_criterion([e.states[i] for i in t], boundary_tol=tol)
+                       for t, _ in cover]
             margins = [min(1.0 - r.total for r in reports),
                        min(r.quartic_lhs - r.quartic_rhs for r in reports)]
             return Verdict("YES", "triple_cover", margins=margins, certificate=union,

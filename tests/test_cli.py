@@ -223,3 +223,19 @@ def test_tolerance_sources(capsys, monkeypatch):
                     "--tol", "1e-7", "--json")
     assert code == 0
     assert json.loads(out)["tol"] == 1e-7
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_tolerance_flag_must_be_finite_and_positive(capsys, value):
+    code, out = run(capsys, "check-antidist", "--ensemble", "trine3",
+                    "--tol", value, "--json")
+    assert code == 64
+    assert out == ""
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e-9", "0"])
+def test_tolerance_variable_must_be_finite_and_positive(capsys, monkeypatch, value):
+    monkeypatch.setenv("ANTIMARK_TOL", value)
+    code, out = run(capsys, "check-antidist", "--ensemble", "duan4", "--json")
+    assert code == 65
+    assert out == ""

@@ -47,6 +47,8 @@ def test_ensemble_validation():
         Ensemble("e", lay, ["a", "a"], [np.eye(2)[0], np.eye(2)[1]])
     with pytest.raises(ValueError):
         Ensemble("e", lay, ["a", "b"], [np.eye(2)[0], np.array([1.0, 1.0])])
+    with pytest.raises(ValueError, match="not normalized"):
+        Ensemble("e", lay, ["a", "b"], [np.eye(2)[0], np.array([np.nan, 0.0])])
     with pytest.raises(ValueError):
         Ensemble("e", lay, ["a", "b"], [np.eye(3)[0], np.eye(3)[1]])
 

@@ -2,6 +2,7 @@
 
 import math
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antimark.ensembles import (Ensemble, bell4, bennett9, duan4, nl1, pbr4,
-                                sic4, su3, trine3, weak3)
+                                sequence_ensemble, sic4, su3, theta4, trine3,
+                                weak3)
 from antimark.exclusion import (Povm, _block_stacks, _hermitian_basis,
                                 _orthocomplement, _psd_project, _support_core,
-                                _support_feasible, caves_criterion,
+                                _support_feasible, _triple_cover,
+                                _triple_screen, caves_criterion,
                                 compose_union, decide_antidist,
                                 exclusion_counts, povm_from_caves_triple,
                                 qubit_antidist_lp, search_exclusion_povm,
@@ -58,6 +61,23 @@ def test_caves_orthogonal_triple_passes():
     assert rep.total == 0.0
 
 
+def su3_like_triple():
+    eye = np.eye(3, dtype=np.complex128)
+    return [eye[0], (eye[0] + eye[1]) / math.sqrt(2.0), (eye[0] + eye[2]) / math.sqrt(2.0)]
+
+
+@pytest.mark.parametrize("states", [
+    [0.5 * v for v in su3_like_triple()],             # overlap sum 0.078: would pass
+    su3_like_triple()[:2] + [np.zeros(3)],            # a zero ket: would pass
+], ids=["scaled", "zero-ket"])
+def test_caves_rejects_unnormalized_kets(states):
+    assert not caves_criterion(su3_like_triple()).passed
+    with pytest.raises(ValueError, match="not normalized"):
+        caves_criterion(states)
+    with pytest.raises(ValueError, match="not normalized"):
+        povm_from_caves_triple(states)
+
+
 # ---------------------------------------------------------------------------
 # single-qubit weight program
 
@@ -91,6 +111,15 @@ def test_qubit_lp_merges_phase_duplicates():
 def test_qubit_lp_rejects_higher_dimensions():
     with pytest.raises(ValueError):
         qubit_antidist_lp([np.eye(3)[0], np.eye(3)[1]])
+
+
+def test_qubit_lp_rejects_unnormalized_kets():
+    """Checked before the weight program, whose NO path reads no norm."""
+    states = weak3().states
+    assert qubit_antidist_lp(states).decision == "NO"
+    for bad in ([0.5 * v for v in states], states[:2] + [np.zeros(2)]):
+        with pytest.raises(ValueError, match="not normalized"):
+            qubit_antidist_lp(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +292,125 @@ def test_compose_union_validates_membership():
                                  ["D1", "D2", "D3"], layout=e.layout)
     with pytest.raises(ValueError):
         compose_union(e, [(["D1", "D2", "NOPE"], sub)])
+
+
+def test_compose_union_reverifies_parts_and_assembles_like_the_decision():
+    e = duan4()
+    v = decide_antidist(e)
+    parts = [(list(t), povm_from_caves_triple([e.states[e.labels.index(x)] for x in t],
+                                              list(t), layout=e.layout))
+             for t in v.triples]
+    union = compose_union(e, parts, tol=1e-9)
+    assert union.labels == v.certificate.labels
+    np.testing.assert_allclose(union.elements, v.certificate.elements, rtol=0, atol=1e-12)
+    labs, sub = parts[0]
+    swapped = Povm(sub.layout, sub.elements, sub.labels[1:] + sub.labels[:1])
+    with pytest.raises(ValueError, match="fails verification"):
+        compose_union(e, [(labs, swapped)] + parts[1:])
+
+
+# ---------------------------------------------------------------------------
+# the triple screen and the greedy cover against the loop they replaced
+
+
+def loop_triple_cover(e, tol, build):
+    """Reference cover: ``caves_criterion`` on every triple into a dict, the
+    reached states and the sorted options rebuilt at every step; ``build``
+    stands for ``povm_from_caves_triple``.  The chosen index triples, or None."""
+    k = e.n_states
+    passing = {t: True for t in combinations(range(k), 3)
+               if caves_criterion([e.states[i] for i in t], boundary_tol=tol).passed}
+    cover, covered = [], set()
+    while len(covered) < k and len({i for t in passing for i in t}) == k:
+        u = min(set(range(k)) - covered)
+        options = sorted((t for t in passing if u in t),
+                         key=lambda t: -len(set(t) - covered))
+        for t in options:
+            try:
+                build([e.states[i] for i in t], [e.labels[i] for i in t],
+                      layout=e.layout, tol=tol, seed=0)
+            except (ValueError, RuntimeError):
+                del passing[t]
+                continue
+            cover.append(t)
+            covered.update(t)
+            break
+    return cover if len(covered) == k else None
+
+
+def refusing_builder(states, labels=None, **kw):
+    """Stand-in for ``povm_from_caves_triple`` that refuses every triple whose
+    label indices sum to a multiple of 4, so triples die on the way."""
+    if sum(int(lab[1:]) for lab in labels) % 4 == 0:
+        raise RuntimeError("refused")
+    return None
+
+
+def assert_screen_and_cover_match(e, tol, build, monkeypatch):
+    idx, passed = _triple_screen(e.states, tol)
+    assert [tuple(t) for t in idx.tolist()] == list(combinations(range(e.n_states), 3))
+    expected = [caves_criterion([e.states[i] for i in t], boundary_tol=tol).passed
+                for t in idx.tolist()]
+    assert passed.tolist() == expected, e.name
+    monkeypatch.setattr("antimark.exclusion.povm_from_caves_triple", build)
+    found = _triple_cover(e, tol, 0)
+    old = loop_triple_cover(e, tol, build)
+    assert (None if found is None else [t for t, _ in found]) == old, e.name
+
+
+def seeded_ensembles():
+    """Haar ensembles for k = 4..12 in dims 3..8, some with a duplicated
+    state (up to phase), orthogonal states, or a trine on the quartic
+    boundary."""
+    rng = np.random.default_rng(2024)
+    out = []
+    for k in range(4, 13):
+        for d in range(3, 9):
+            states = [haar(d, rng) for _ in range(k)]
+            kind = (k + d) % 4
+            if kind == 1:
+                states[k - 1] = 1j * states[0]
+            elif kind == 2:
+                eye = np.eye(d, dtype=np.complex128)
+                states[:min(k, d)] = list(eye[:min(k, d)])
+            elif kind == 3:
+                for j, v in enumerate(trine3().states):
+                    states[j] = np.concatenate([v, np.zeros(d - 2)])
+            out.append(Ensemble(f"k{k}d{d}", PartyLayout((d,)),
+                                [f"s{j}" for j in range(k)], states))
+    return out
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+def test_screen_and_cover_match_the_loop_on_seeded_ensembles(tol, monkeypatch):
+    for e in seeded_ensembles():
+        assert_screen_and_cover_match(e, tol, refusing_builder, monkeypatch)
+
+
+def test_screen_and_cover_match_the_loop_with_certified_triples(monkeypatch):
+    ensembles = [e for e in seeded_ensembles() if e.n_states <= 6]
+    ensembles += [sequence_ensemble(pbr4(), 2), sequence_ensemble(su3(), 2),
+                  sequence_ensemble(duan4(), 2), sequence_ensemble(theta4(0.9), 2),
+                  sequence_ensemble(pbr4(), 3)]
+    ensembles += [quartet(i) for i in range(100)]
+    for e in ensembles:
+        assert_screen_and_cover_match(e, 1e-9, povm_from_caves_triple, monkeypatch)
+
+
+def test_triple_cover_checks_each_triple_certificate_once(monkeypatch):
+    e = sequence_ensemble(pbr4(), 3)
+    calls = []
+
+    def counting(*args, **kw):
+        calls.append(args[0].name)
+        return verify_strong(*args, **kw)
+
+    monkeypatch.setattr("antimark.exclusion.verify_strong", counting)
+    v = decide_antidist(e)
+    assert (v.decision, v.method) == ("YES", "triple_cover")
+    assert len(v.triples) == 8
+    assert calls == ["triple"] * 8
+    assert verify_strong(e, v.certificate, tol=1e-8).passed
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +586,20 @@ def test_decide_catalog_verdicts():
         "bell4": ("YES", "triple_cover"),
         "bennett9": ("YES", "triple_cover"),
         "pbr4": ("YES", "search"),
+        "pbr4^[2]": ("YES", "triple_cover"),
+        "su3^[2]": ("YES", "triple_cover"),
+        "duan4^[2]": ("YES", "triple_cover"),
+        "theta4(0.9)^[2]": ("YES", "triple_cover"),
+        "pbr4^[3]": ("YES", "triple_cover"),
     }
     builders = {"trine3": trine3, "weak3": weak3, "duan4": duan4, "nl1": nl1,
                 "su3": su3, "sic4": sic4, "bell4": bell4, "bennett9": bennett9,
-                "pbr4": pbr4}
+                "pbr4": pbr4,
+                "pbr4^[2]": lambda: sequence_ensemble(pbr4(), 2),
+                "su3^[2]": lambda: sequence_ensemble(su3(), 2),
+                "duan4^[2]": lambda: sequence_ensemble(duan4(), 2),
+                "theta4(0.9)^[2]": lambda: sequence_ensemble(theta4(0.9), 2),
+                "pbr4^[3]": lambda: sequence_ensemble(pbr4(), 3)}
     for name, (decision, method) in expected.items():
         v = decide_antidist(builders[name]())
         assert (v.decision, v.method) == (decision, method), name
