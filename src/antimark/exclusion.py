@@ -2,11 +2,11 @@
 
 The decision routine prefers exact criteria (the three-state overlap test,
 the single-qubit weight program and, for two states, orthogonality), then
-tries to cover the ensemble with certified three-state measurements, then
-runs the feasibility core, which ends at a measurement or at a dual witness.
-A NO comes from an exact criterion or carries a witness that
-verify_no_witness checks; a core that runs out its budget either way leaves
-UNKNOWN.
+tries to cover the ensemble with certified three-state measurements, each
+written down in closed form, then runs the feasibility core, which ends at a
+measurement or at a dual witness.  A NO comes from an exact criterion or
+carries a witness that verify_no_witness checks; a core that runs out its
+budget either way leaves UNKNOWN.
 """
 
 from __future__ import annotations
@@ -680,22 +680,87 @@ def _pair_verdict(e: Ensemble, tol: float) -> Verdict:
 # certified measurement for a passing triple
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Bilinear cross product on C^3, column by column when b is 3 x k:
+    conj(a x b) is orthogonal to a and b, and has unit norm when a and b are
+    orthonormal."""
+    return np.array([a[1] * b[2] - a[2] * b[1],
+                     a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
+
+
+def _qubit_from_bloch(n: np.ndarray) -> np.ndarray:
+    """A unit ket a in C^2 with a a^dag = (I + n . sigma) / 2, from whichever
+    of the two equivalent forms is away from its pole."""
+    a = (np.array([1.0 + n[2], n[0] + 1j * n[1]]) if n[2] >= 0.0
+         else np.array([n[0] - 1j * n[1], 1.0 - n[2]]))
+    return a / np.linalg.norm(a)
+
+
+def _triple_basis(ys: list[np.ndarray]) -> np.ndarray:
+    """Orthonormal basis f1, f2, f3 of C^3 (the rows) with f_j orthogonal to
+    y_j, for three unit kets in C^3 that pass the criterion.
+
+    With f1 orthogonal to y1, f2 = conj(f1 x y2) / norm and f3 = conj(f1 x f2)
+    are orthonormal, f2 is orthogonal to y2, and f3 is orthogonal to y3
+    exactly when q(f1) = <f1 x y2 | y3 x f1> = f1^dag A f1 vanishes, with
+    A = -[y2]x^dag [y3]x, where [v]x x = v x x.  On f1 = P a, P an
+    orthonormal basis of y1's complement, q = m0 + m . n is affine in the
+    Bloch vector n of a, so its real and imaginary parts are two planes in
+    n: f1 lies where their line (or, for parallel planes, their common
+    plane) meets the unit sphere.  On the quartic boundary the line only touches the sphere, and rounding
+    can leave it just outside; then the unit n with the least residual on
+    the two planes is taken, with the Lagrange multiplier of the secular
+    equation sum_i (s_i^2 c_i / (s_i^2 + lam))^2 = 1 found by Newton steps
+    (s_i, c_i the singular values and coordinates of the line's nearest
+    point), which shrinks the coordinate of the weaker plane first.  Of the
+    two points the one with the larger |f1 x y2| is kept: when y2 is
+    orthogonal to y1 the other is f1 = y2, where f2 is undefined."""
+    y1, y2, y3 = ys
+    p = _orthocomplement([y1], 3)
+    m = -_cross(y2, p).conj().T @ _cross(y3, p)
+    m0 = (m[0, 0] + m[1, 1]) / 2.0
+    mv = np.array([(m[0, 1] + m[1, 0]) / 2.0, 0.5j * (m[0, 1] - m[1, 0]),
+                   (m[0, 0] - m[1, 1]) / 2.0])
+    u, s, vt = np.linalg.svd(np.array([mv.real, mv.imag]))
+    rank = int(np.sum(s > 1e-12 * max(s[0], 1.0)))
+    w = s[:rank] ** 2
+    coef = (u[:, :rank].T @ -np.array([m0.real, m0.imag])) / s[:rank]
+    x, lam = coef, 0.0
+    for _ in range(8):
+        excess = float(x @ x) - 1.0
+        if excess <= 0.0:
+            break
+        lam += excess / (2.0 * float(np.sum(x * x / (w + lam))))
+        x = w * coef / (w + lam)
+    centre = vt[:rank].T @ x
+    reach = math.sqrt(max(1.0 - float(centre @ centre), 0.0))
+    roots = [p @ _qubit_from_bloch(n / np.linalg.norm(n))
+             for n in (centre + reach * vt[2], centre - reach * vt[2])]
+    f1 = max(roots, key=lambda f: np.linalg.norm(_cross(f, y2)))
+    g = _cross(f1, y2).conj()
+    f2 = g / np.linalg.norm(g)
+    return np.array([f1, f2, _cross(f1, f2).conj()])
+
+
 def povm_from_caves_triple(states, labels=None, layout: PartyLayout | None = None,
-                           tol: float = DEFAULT_TOL, seed: int = 0) -> Povm:
+                           tol: float = DEFAULT_TOL) -> Povm:
     """Certified three-outcome exclusion measurement for a triple that passes
-    the three-state criterion.
+    the three-state criterion at boundary tolerance tol.
 
     The problem is solved inside the span of the states: a two-dimensional
-    span reduces to the single-qubit weight program, a three-dimensional one
-    to one call of the feasibility core with each element confined to its
-    state's orthogonal complement.  The orthogonal complement of the span is
-    split evenly across the elements; the result must pass verify_strong at
-    max(tol, 1e-10), and a RuntimeError reports a core that finds nothing or
-    a certificate that fails.  A triple that fails the criterion, or holds a
-    ket whose norm is not 1 within 1e-9, raises ValueError.
+    span reduces to the single-qubit weight program; in a three-dimensional
+    one the elements are the projectors onto the closed-form orthonormal
+    basis of ``_triple_basis``, each orthogonal to its state (Caves, Fuchs
+    and Schack, PRA 66, 062111, 2002).  The orthogonal complement of the
+    span is split evenly across the elements; the result must pass
+    verify_strong at max(tol, 1e-10), and a RuntimeError reports a weight
+    program that finds no completion or a certificate that fails.  A triple
+    that fails the criterion, or holds a ket whose norm is not 1 within
+    1e-9, raises ValueError.
     """
     vecs = [_ket(s) for s in states]
-    rep = caves_criterion(vecs)
+    rep = caves_criterion(vecs, boundary_tol=tol)
     if not rep.passed:
         raise ValueError("the triple fails the three-state criterion")
     if labels is None:
@@ -720,8 +785,7 @@ def povm_from_caves_triple(states, labels=None, layout: PartyLayout | None = Non
             small = [max(w, 0.0) * (np.eye(2) - density(y))
                      for w, y in zip(weights, ys)]
     else:
-        small = _support_feasible([[y] for y in ys], r, tol=check_tol / 10,
-                                  seed=seed)
+        small = [density(f) for f in _triple_basis(ys)]
     if small is None:
         raise RuntimeError("no exclusion measurement found inside the span")
 
@@ -783,7 +847,7 @@ def _as_ensemble(obj) -> Ensemble:
                     [f"s{i}" for i in range(len(vecs))], vecs)
 
 
-def _triple_cover(e: Ensemble, tol: float, seed: int
+def _triple_cover(e: Ensemble, tol: float
                   ) -> list[tuple[tuple[int, int, int], Povm]] | None:
     """Greedy cover of the ensemble by passing triples, each with its
     certified measurement from ``povm_from_caves_triple``, or None, by the
@@ -802,7 +866,7 @@ def _triple_cover(e: Ensemble, tol: float, seed: int
         try:
             sub = povm_from_caves_triple(
                 [e.states[i] for i in tri], [e.labels[i] for i in tri],
-                layout=e.layout, tol=tol, seed=seed)
+                layout=e.layout, tol=tol)
         except (ValueError, RuntimeError):
             alive[t] = False
             continue
@@ -824,9 +888,11 @@ def decide_antidist(ensemble, tol: float = DEFAULT_TOL, seed: int = 0,
     one covering most uncovered states (ties in enumeration order); a triple
     whose measurement cannot be certified is dropped for the next, so a cover
     is found whenever the certified triples admit one; the triple
-    measurements, each checked once by ``povm_from_caves_triple``, are
-    assembled as ``compose_union`` assembles, and the margins come from
-    ``caves_criterion`` on the chosen triples; (5) one call of the
+    measurements, closed-form and each checked once by
+    ``povm_from_caves_triple``, are assembled as ``compose_union``
+    assembles, and the margins come from ``caves_criterion`` on the chosen
+    triples.  Routes (1) and (4) apply the criterion at boundary tolerance
+    tol and never run the feasibility core; (5) one call of the
     feasibility core, which ends at a measurement (YES, method "search") or
     at a dual witness, rescaled to Y <= rho_j for every j (NO, method
     "witness", when verify_no_witness gives more than the search's
@@ -843,8 +909,7 @@ def decide_antidist(ensemble, tol: float = DEFAULT_TOL, seed: int = 0,
             which = "overlap sum" if not rep.sum_ok else "quartic inequality"
             return Verdict("NO", "caves", margins=margins, caves=rep,
                            detail=f"{which} fails")
-        cert = povm_from_caves_triple(e.states, e.labels, layout=e.layout,
-                                      tol=tol, seed=seed)
+        cert = povm_from_caves_triple(e.states, e.labels, layout=e.layout, tol=tol)
         return Verdict("YES", "caves", margins=margins, caves=rep, certificate=cert)
 
     if e.layout.dim == 2:
@@ -854,7 +919,7 @@ def decide_antidist(ensemble, tol: float = DEFAULT_TOL, seed: int = 0,
         return _pair_verdict(e, tol)
 
     if k >= 4:
-        cover = _triple_cover(e, tol, seed)
+        cover = _triple_cover(e, tol)
         if cover is not None:
             union = _union(e, [([e.labels[i] for i in t], sub) for t, sub in cover])
             reports = [caves_criterion([e.states[i] for i in t], boundary_tol=tol)

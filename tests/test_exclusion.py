@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antimark.ensembles import (Ensemble, bell4, bennett9, duan4, nl1, pbr4,
-                                sequence_ensemble, sic4, su3, theta4, trine3,
-                                weak3)
+                                restrict, sequence_ensemble, sic4, su3, theta4,
+                                trine3, weak3)
 from antimark.exclusion import (Povm, _block_stacks, _hermitian_basis,
                                 _orthocomplement, _psd_project, _support_core,
-                                _support_feasible, _triple_cover,
-                                _triple_screen, caves_criterion,
+                                _support_feasible, _triple_basis,
+                                _triple_cover, _triple_screen, caves_criterion,
                                 compose_union, decide_antidist,
                                 exclusion_counts, povm_from_caves_triple,
                                 qubit_antidist_lp, search_exclusion_povm,
@@ -252,6 +252,121 @@ def test_rank_three_triples_on_the_quartic_boundary(states):
     assert verify_strong(e, v.certificate, tol=1e-9).passed
 
 
+def test_passing_haar_triples_all_end_yes():
+    """The first 600 passing qutrit triples of a seeded Haar stream; the
+    145th, 256th and 515th pass the quartic inequality by only 1e-4 to 1e-3,
+    close enough to its boundary to stall an iterative solver."""
+    rng = np.random.default_rng(0)
+    passing = 0
+    while passing < 600:
+        states = [haar(3, rng) for _ in range(3)]
+        if not caves_criterion(states).passed:
+            continue
+        passing += 1
+        e = Ensemble("t", PartyLayout((3,)), ["s0", "s1", "s2"], states)
+        v = decide_antidist(e)
+        assert (v.decision, v.method) == ("YES", "caves"), passing
+        assert verify_strong(e, v.certificate, tol=1e-10).passed, passing
+
+
+def test_triple_passing_only_at_a_wider_tolerance_ends_yes():
+    """Every squared overlap 0.25 + 2e-7: the quartic fails by 4.5e-7, so the
+    triple passes at tol 1e-6 and fails at the default."""
+    c = math.sqrt(0.25 + 2e-7)
+    w, v = np.linalg.eigh((1.0 - c) * np.eye(3) + c * np.ones((3, 3)))
+    root = (v * np.sqrt(w)) @ v.T
+    e = Ensemble("symmetric", PartyLayout((3,)), ["s0", "s1", "s2"],
+                 [root[:, j] for j in range(3)])
+    assert not caves_criterion(e.states).passed
+    assert caves_criterion(e.states, boundary_tol=1e-6).passed
+    verdict = decide_antidist(e, tol=1e-6)
+    assert (verdict.decision, verdict.method) == ("YES", "caves")
+    assert verify_strong(e, verdict.certificate, tol=1e-6).passed
+    assert decide_antidist(e).decision == "NO"
+
+
+def span_coordinates(states):
+    """The kets in the coordinates of a 3-dimensional subspace holding them."""
+    _, _, vh = np.linalg.svd(np.stack(states))
+    return [vh[:3].conj() @ s for s in states]
+
+
+def assert_exclusion_basis(ys):
+    f = _triple_basis(ys)
+    np.testing.assert_allclose(f.conj() @ f.T, np.eye(3), rtol=0, atol=1e-12)
+    assert max(abs(np.vdot(fj, y)) for fj, y in zip(f, ys)) <= 1e-12
+
+
+def orthogonal_pair_triples():
+    """Passing triples with an orthogonal pair in each of the three places,
+    and the computational basis."""
+    rng = np.random.default_rng(11)
+    out = [list(np.eye(3, dtype=np.complex128))]
+    for pair in ((0, 1), (0, 2), (1, 2)):
+        while True:
+            a, b, c = haar(3, rng), haar(3, rng), haar(3, rng)
+            b = b - np.vdot(a, b) * a
+            b /= np.linalg.norm(b)
+            third = 3 - sum(pair)
+            triple = [None] * 3
+            triple[pair[0]], triple[pair[1]], triple[third] = a, b, c
+            if caves_criterion(triple).passed:
+                out.append(triple)
+                break
+    return out
+
+
+def exclusion_basis_cases():
+    trine = [np.concatenate([v, np.zeros(3)]) for v in trine3().states]
+    rng = np.random.default_rng(7)
+    u, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+    su3_pair = sequence_ensemble(su3(), 2)
+    su3_boundary = restrict(su3_pair, ["(00,0+)", "(00,+0)", "(0+,00)"]).states
+    return ([pytest.param([v[:3] for v in trine], id="trine3"),
+             pytest.param(span_coordinates([u @ v for v in trine]), id="trine3-in-C5"),
+             pytest.param(boundary_gram_triple(0.39367781186581313, 0.5409037808457999,
+                                               3.1333575993144986),
+                          id="boundary-near-degenerate"),
+             pytest.param(boundary_gram_triple(0.25, 0.25, 0.0), id="boundary-symmetric"),
+             pytest.param(span_coordinates(su3_boundary), id="su3-boundary")]
+            + [pytest.param(t, id=f"orthogonal-pair-{i}")
+               for i, t in enumerate(orthogonal_pair_triples())])
+
+
+@pytest.mark.parametrize("ys", exclusion_basis_cases())
+def test_exclusion_basis_is_orthonormal_and_excludes(ys):
+    assert caves_criterion(ys).passed
+    assert_exclusion_basis(ys)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_exclusion_basis_under_unitaries_phases_and_relabelling(seed):
+    rng = np.random.default_rng(seed)
+    while True:
+        ys = [haar(3, rng) for _ in range(3)]
+        if caves_criterion(ys).passed:
+            break
+    u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    phases = np.exp(2j * math.pi * rng.uniform(size=3))
+    assert_exclusion_basis(ys)
+    assert_exclusion_basis([phases[k] * (u @ ys[k]) for k in rng.permutation(3)])
+
+
+def test_triple_routes_never_run_the_feasibility_core(monkeypatch):
+    calls = []
+
+    def counting(*args, **kw):
+        calls.append(args)
+        return _support_core(*args, **kw)
+
+    monkeypatch.setattr("antimark.exclusion._support_core", counting)
+    for e in (trine3(), duan4(), sequence_ensemble(su3(), 2),
+              sequence_ensemble(pbr4(), 2), sequence_ensemble(pbr4(), 3)):
+        assert decide_antidist(e).decision == "YES", e.name
+    assert calls == []
+
+
 def test_triple_certificate_rejects_failing_triple():
     with pytest.raises(ValueError):
         povm_from_caves_triple(weak3().states)
@@ -328,7 +443,7 @@ def loop_triple_cover(e, tol, build):
         for t in options:
             try:
                 build([e.states[i] for i in t], [e.labels[i] for i in t],
-                      layout=e.layout, tol=tol, seed=0)
+                      layout=e.layout, tol=tol)
             except (ValueError, RuntimeError):
                 del passing[t]
                 continue
@@ -353,7 +468,7 @@ def assert_screen_and_cover_match(e, tol, build, monkeypatch):
                 for t in idx.tolist()]
     assert passed.tolist() == expected, e.name
     monkeypatch.setattr("antimark.exclusion.povm_from_caves_triple", build)
-    found = _triple_cover(e, tol, 0)
+    found = _triple_cover(e, tol)
     old = loop_triple_cover(e, tol, build)
     assert (None if found is None else [t for t, _ in found]) == old, e.name
 
