@@ -2,13 +2,15 @@
 ensemble file format.
 
 An :class:`Ensemble` is an ordered, labeled list of normalized pure states on
-a common party layout.  Product ensembles additionally carry per-party factor
-kets for every state; those factors are what local parts and sequence
-repartitioning are computed from.
+a common party layout.  A product ensemble is given by its per-party factor
+kets alone: the constructor builds each state once, as the Kronecker product
+of its factors, and giving both states and factors is an error.  The factors
+are what local parts and the sequences of a product parent are built from.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -47,11 +49,8 @@ def qutrit_sum(p: int, q: int, sign: int = 1) -> np.ndarray:
     return v / np.sqrt(2.0)
 
 
-def _kron_all(factors) -> np.ndarray:
-    out = np.asarray(factors[0], dtype=np.complex128)
-    for f in factors[1:]:
-        out = kron(out, np.asarray(f, dtype=np.complex128))
-    return out
+def _kron_all(kets) -> np.ndarray:
+    return functools.reduce(kron, kets)
 
 
 def check_norm(lab, nrm: float) -> float:
@@ -67,19 +66,32 @@ def check_norm(lab, nrm: float) -> float:
 
 @dataclass
 class Ensemble:
-    """Labeled pure-state ensemble on a fixed party layout."""
+    """Labeled pure-state ensemble on a fixed party layout, given by its
+    states or, for a product ensemble, by its factors alone."""
 
     name: str
     layout: PartyLayout
     labels: list[str]
-    states: list[np.ndarray]
+    states: list[np.ndarray] | None = None
     factors: dict[str, tuple[np.ndarray, ...]] | None = None
 
     def __post_init__(self):
-        if len(self.labels) != len(self.states):
-            raise ValueError("one label per state required")
+        if (self.states is None) == (self.factors is None):
+            raise ValueError("give either the states or, for a product ensemble, "
+                             "its factors")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("state labels must be distinct")
+        if self.factors is not None:
+            if set(self.factors) != set(self.labels):
+                raise ValueError("a product ensemble needs factors for exactly its labels")
+            self.factors = {lab: tuple(np.asarray(f, dtype=np.complex128).reshape(-1)
+                                       for f in self.factors[lab]) for lab in self.labels}
+            for lab, fs in self.factors.items():
+                if tuple(f.size for f in fs) != self.layout.dims:
+                    raise ValueError(f"state {lab}: factor sizes != dims {self.layout.dims}")
+            self.states = [_kron_all(fs) for fs in self.factors.values()]
+        if len(self.labels) != len(self.states):
+            raise ValueError("one label per state required")
         if len(self.states) < 2:
             raise ValueError("an ensemble needs at least two states")
         clean = []
@@ -89,22 +101,6 @@ class Ensemble:
                 raise ValueError(f"state {lab}: size {v.size} != layout dim {self.layout.dim}")
             clean.append(v / check_norm(lab, float(np.linalg.norm(v))))
         self.states = clean
-        if self.factors is not None:
-            for lab in self.labels:
-                if lab not in self.factors:
-                    raise ValueError(f"product ensemble missing factors for {lab}")
-            for lab, fs in self.factors.items():
-                fs = tuple(np.asarray(f, dtype=np.complex128).reshape(-1) for f in fs)
-                if len(fs) != self.layout.n_parties:
-                    raise ValueError(f"state {lab}: factor count != party count")
-                for f, d in zip(fs, self.layout.dims):
-                    if f.size != d:
-                        raise ValueError(f"state {lab}: factor dim mismatch")
-                self.factors[lab] = fs
-                full = _kron_all(fs)
-                target = self.states[self.labels.index(lab)]
-                if np.max(np.abs(full - target)) > 1e-10:
-                    raise ValueError(f"state {lab}: factor tensor does not reproduce the state")
 
     @property
     def n_states(self) -> int:
@@ -127,13 +123,9 @@ class Ensemble:
 
 def product_ensemble(name, layout, labels, factor_rows) -> Ensemble:
     """Build a product ensemble from per-state tuples of party factors."""
-    factor_rows = [
-        tuple(np.asarray(f, dtype=np.complex128) / np.linalg.norm(f) for f in row)
-        for row in factor_rows
-    ]
-    states = [_kron_all(row) for row in factor_rows]
-    return Ensemble(name, layout, list(labels), states,
-                    factors={lab: row for lab, row in zip(labels, factor_rows)})
+    return Ensemble(name, layout, list(labels), factors={
+        lab: tuple(np.asarray(f, dtype=np.complex128) / np.linalg.norm(f) for f in row)
+        for lab, row in zip(labels, factor_rows)})
 
 
 @dataclass
@@ -146,13 +138,17 @@ class SequenceEnsemble(Ensemble):
     index_tuples: list[tuple[int, ...]] = field(default_factory=list)
 
 
+def _party_major(k: int, n: int) -> list[int]:
+    """Axis order taking n draws of a k-party layout, held draw by draw, to
+    party-major order: each party's n slots together, in draw order."""
+    return [s * k + p for p in range(k) for s in range(n)]
+
+
 def _repartition(parent: Ensemble, tup: tuple[int, ...]) -> np.ndarray:
-    """Tensor the chosen parent states slot-by-slot, then regroup legs party-major."""
-    n, k = len(tup), parent.layout.n_parties
+    """Tensor the chosen parent states draw by draw, then regroup legs party-major."""
     full = _kron_all([parent.states[i] for i in tup])
-    slot_major_dims = list(parent.layout.dims) * n
-    perm = [s * k + p for p in range(k) for s in range(n)]
-    return full.reshape(slot_major_dims).transpose(perm).reshape(-1)
+    return full.reshape(list(parent.layout.dims) * len(tup)).transpose(
+        _party_major(parent.layout.n_parties, len(tup))).reshape(-1)
 
 
 def _sequence_tuples(parent: Ensemble, n: int) -> list[tuple[int, ...]]:
@@ -179,27 +175,26 @@ def sequence_ensemble(parent: Ensemble, n: int) -> SequenceEnsemble:
     """The ensemble of all N!/(N-n)! non-repetitive index sequences of length n."""
     tuples = _sequence_tuples(parent, n)
     labels = [_sequence_label(parent, tup) for tup in tuples]
-    states = [_repartition(parent, tup) for tup in tuples]
     layout = PartyLayout(tuple(d ** n for d in parent.layout.dims), parent.layout.names)
-    factors = None
+    states = factors = None
     if parent.is_product:
         factors = {lab: tuple(_slot_factors(parent, tup, p)
                               for p in range(parent.layout.n_parties))
                    for lab, tup in zip(labels, tuples)}
+    else:
+        states = [_repartition(parent, tup) for tup in tuples]
     return SequenceEnsemble(f"{parent.name}^[{n}]", layout, labels, states, factors,
                             parent=parent, n=n, index_tuples=tuples)
 
 
-def _local_ensemble(name: str, party: str, dim: int, labels, kets,
-                    deduplicate: bool) -> Ensemble:
+def _local_ensemble(name: str, party: str, dim: int, labels, kets) -> Ensemble:
     """One party's local ensemble from its factor kets, in order: each ket in
     its canonical phase, dropping any within DEFAULT_TOL (entrywise) of a kept
     one -- the test of ``same_up_to_phase`` -- so the first label is kept."""
     kept_labels, kept = [], []
     for lab, f in zip(labels, kets):
         v = canonical_phase(f)
-        if (deduplicate and kept
-                and np.min(np.max(np.abs(np.array(kept) - v), axis=1)) <= DEFAULT_TOL):
+        if kept and np.min(np.max(np.abs(np.array(kept) - v), axis=1)) <= DEFAULT_TOL:
             continue
         kept_labels.append(lab)
         kept.append(v)
@@ -212,17 +207,17 @@ def _party_index(e: Ensemble, party) -> int:
     return party if isinstance(party, int) else e.layout.index_of(party)
 
 
-def local_part(e: Ensemble, party, deduplicate: bool = True) -> Ensemble:
+def local_part(e: Ensemble, party) -> Ensemble:
     """The named party's local ensemble of a product ensemble.
 
-    Deduplication merges states equal up to a global phase (tolerance 1e-9);
-    the first contributing label is kept.
+    States equal up to a global phase (tolerance 1e-9) are merged; the first
+    contributing label is kept.
     """
     if not e.is_product:
         raise ValueError("local_part requires a product ensemble")
     p = _party_index(e, party)
     return _local_ensemble(e.name, e.layout.names[p], e.layout.dims[p], e.labels,
-                           (e.factors[lab][p] for lab in e.labels), deduplicate)
+                           (e.factors[lab][p] for lab in e.labels))
 
 
 def sequence_local_part(parent: Ensemble, n: int, party) -> Ensemble:
@@ -243,7 +238,7 @@ def sequence_local_part(parent: Ensemble, n: int, party) -> Ensemble:
     return _local_ensemble(f"{parent.name}^[{n}]", parent.layout.names[p],
                            parent.layout.dims[p] ** n,
                            [_sequence_label(parent, tup) for tup in tuples],
-                           (_slot_factors(parent, tup, p) for tup in tuples), True)
+                           (_slot_factors(parent, tup, p) for tup in tuples))
 
 
 def restrict(e: Ensemble, labels) -> Ensemble:
@@ -254,11 +249,10 @@ def restrict(e: Ensemble, labels) -> Ensemble:
         raise ValueError(f"labels not in ensemble: {unknown}")
     if len(set(labels)) != len(labels):
         raise ValueError("restriction labels must be distinct")
-    factors = None
+    name = f"{e.name}|{{{','.join(labels)}}}"
     if e.is_product:
-        factors = {lab: e.factors[lab] for lab in labels}
-    return Ensemble(f"{e.name}|{{{','.join(labels)}}}", e.layout, labels,
-                    [e.state_of(lab) for lab in labels], factors=factors)
+        return Ensemble(name, e.layout, labels, factors={lab: e.factors[lab] for lab in labels})
+    return Ensemble(name, e.layout, labels, [e.state_of(lab) for lab in labels])
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +384,7 @@ CATALOG: dict[str, dict] = {
                                 "dims": (2, 2), "params": (),
                                 "blurb": "SIC states paired with their antipodes"},
     "pbr4": {"build": lambda **kw: pbr4(), "dims": (2, 2), "params": (),
-             "blurb": "products of |0>,|+>: not antidistinguishable, sequences are"},
+             "blurb": "products of |0>,|+>: global yes, local no; two draws local yes"},
     "theta4": {"build": lambda theta, **kw: theta4(theta), "dims": (2, 2),
                "params": ("theta",),
                "blurb": "products of cos(t)|0> +- sin(t)|1>"},
@@ -460,7 +454,7 @@ def parse_ensemble(text: str) -> Ensemble:
     if not isinstance(doc["states"], list) or len(doc["states"]) < 2:
         raise DataError("states must be a list of at least two entries")
 
-    labels, states, factors, all_product = [], [], {}, True
+    labels, amplitudes, factors = [], {}, {}
     for i, entry in enumerate(doc["states"]):
         if not isinstance(entry, dict) or "label" not in entry:
             raise DataError(f"state #{i}: missing label")
@@ -469,8 +463,7 @@ def parse_ensemble(text: str) -> Ensemble:
             v = _parse_complex_list(entry["amplitudes"], f"state {lab}")
             if v.size != layout.dim:
                 raise DataError(f"state {lab}: expected {layout.dim} amplitudes, got {v.size}")
-            states.append(_normalized(v, f"state {lab}"))
-            all_product = False
+            amplitudes[lab] = _normalized(v, f"state {lab}")
         elif "factors" in entry:
             raw = entry["factors"]
             if not isinstance(raw, list) or len(raw) != layout.n_parties:
@@ -482,14 +475,16 @@ def parse_ensemble(text: str) -> Ensemble:
                     raise DataError(f"state {lab} factor {p}: wrong dimension")
                 fs.append(_normalized(f, f"state {lab} factor {p}"))
             factors[lab] = tuple(fs)
-            states.append(_kron_all(fs))
         else:
             raise DataError(f"state {lab}: needs either amplitudes or factors")
         labels.append(lab)
     if len(set(labels)) != len(labels):
         raise DataError("state labels must be distinct")
     try:
-        return Ensemble(str(doc["name"]), layout, labels, states,
-                        factors=factors if all_product and factors else None)
+        if not amplitudes:
+            return Ensemble(str(doc["name"]), layout, labels, factors=factors)
+        return Ensemble(str(doc["name"]), layout, labels,
+                        [amplitudes[lab] if lab in amplitudes else _kron_all(factors[lab])
+                         for lab in labels])
     except ValueError as exc:
         raise DataError(str(exc)) from exc

@@ -124,9 +124,10 @@ def verify_strong(e: Ensemble, m: Povm, tol: float = DEFAULT_TOL) -> StrongRepor
 
     Requirements: valid POVM (PSD within tol, sums to identity within tol),
     every labeled element annihilates its state (condition 1), and for every
-    state some element dedicated to it fires under the uniform mixture
-    (condition 2).  Unlabeled elements may ride along; numerically zero ones
-    are flagged redundant, nonzero ones must fire.
+    state some element dedicated to it fires: its probability summed over the
+    k states, k times that under the uniform mixture, exceeds tol (condition
+    2).  Unlabeled elements may ride along; numerically zero ones are flagged
+    redundant, nonzero ones must fire in the same sense.
 
     Structural defects raise ValueError: mismatched layouts, labels naming no
     state, states with no dedicated element, non-Hermitian elements.
@@ -814,10 +815,10 @@ def exclusion_counts(e: Ensemble, m: Povm, tol: float = DEFAULT_TOL) -> Exclusio
     """Which states each firing outcome excludes, and the worst-case count.
 
     The rows are verify_strong's per-outcome reports, kept for the outcomes
-    whose total probability under the uniform mixture exceeds tol; the
-    summary value is the smallest exclusion set over them.  Labels are
-    carried but never checked.  Raises when the elements are not a POVM
-    within tol or if nothing fires.
+    whose probability summed over the states (k times the probability under
+    the uniform mixture) exceeds tol; the summary value is the smallest
+    exclusion set over them.  Labels are carried but never checked.  Raises
+    when the elements are not a POVM within tol or if nothing fires.
     """
     if m.layout.dims != e.layout.dims:
         raise ValueError("POVM layout does not match the ensemble layout")

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import Ensemble, nl2, sequence_ensemble, sequence_local_part, theta4
+from .ensembles import (Ensemble, _party_major, nl2, sequence_ensemble, sequence_local_part,
+                        theta4)
 from .exclusion import (Povm, Verdict, _support_feasible, caves_criterion,
                         decide_antidist, exclusion_counts)
 from .locc import LoccProtocol, _mapped_outcomes, flatten_protocol, verify_local_protocol
@@ -143,11 +144,8 @@ def lift_first_slot(op, layout: PartyLayout, n_prime: int) -> np.ndarray:
         raise ValueError("need n_prime >= 1")
     full = kron(op, np.eye(d ** (n_prime - 1), dtype=np.complex128))
     dims = list(layout.dims) * n_prime
-    k = layout.n_parties
-    perm = [s * k + p for p in range(k) for s in range(n_prime)]
-    nax = len(dims)
-    t = full.reshape(dims + dims)
-    t = t.transpose(perm + [nax + q for q in perm])
+    perm = _party_major(layout.n_parties, n_prime)
+    t = full.reshape(dims + dims).transpose(perm + [len(dims) + q for q in perm])
     return np.ascontiguousarray(t.reshape(d ** n_prime, d ** n_prime))
 
 

@@ -104,6 +104,14 @@ def test_check_lsam_json_carries_parts(capsys):
     assert set(doc["parts"]) == {"A", "B"}
 
 
+def test_check_lsam_on_an_entangled_parent_is_a_data_error(capsys):
+    code = main(["check-lsam", "--ensemble", "bell4", "--n", "2"])
+    captured = capsys.readouterr()
+    assert code == 65
+    assert captured.out == ""
+    assert "the local-part criterion needs a product parent" in captured.err
+
+
 def test_check_lsam_multi_claim_is_a_usage_error(capsys):
     assert run(capsys, "check-lsam", "--ensemble", "su3", "--n", "2",
                "--m", "2")[0] == 64

@@ -1,19 +1,20 @@
 """Ensemble construction, catalog integrity, sequences, and parsing."""
 
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from antimark.ensembles import (KET0, KET1, PLUS, Ensemble, angle_ket, bell4,
+from antimark.ensembles import (KET0, KET1, PLUS, Ensemble, _repartition, angle_ket, bell4,
                                 bennett9, build_catalog, catalog, duan4,
                                 local_part, nl1,
                                 nl2, parse_ensemble, pbr4, product_ensemble,
                                 qubit_perp, qutrit_sum, restrict,
                                 sequence_ensemble, sequence_local_part,
                                 sic_kets, su3, theta4, trine3, weak3)
-from antimark.qcore import DataError, PartyLayout, canonical_phase, same_up_to_phase
+from antimark.qcore import DataError, PartyLayout, canonical_phase, kron, same_up_to_phase
 
 
 def test_catalog_entries_build_and_are_normalized():
@@ -63,6 +64,29 @@ def test_product_factor_consistency_enforced():
         Ensemble("p", lay, ["u", "v"],
                  [np.kron([1, 0], [1, 0]), np.kron([0, 1], [0, 1])],
                  factors={"u": (np.array([1, 0]), np.array([1, 0]))})
+    with pytest.raises(ValueError, match="factors for exactly its labels"):
+        Ensemble("p", lay, ["u", "v"], factors={"u": good.factors["u"]})
+    with pytest.raises(ValueError, match="factor sizes"):
+        Ensemble("p", lay, ["u", "v"], factors={"u": good.factors["u"],
+                                                 "v": (KET0, np.eye(3)[0])})
+    with pytest.raises(ValueError, match="factor sizes"):
+        Ensemble("p", lay, ["u", "v"], factors={"u": good.factors["u"], "v": (KET0,)})
+    with pytest.raises(ValueError, match="not normalized"):
+        Ensemble("p", lay, ["u", "v"], factors={"u": good.factors["u"],
+                                                 "v": (KET0, 2 * KET1)})
+
+
+def test_a_product_ensemble_is_given_by_its_factors_alone():
+    lay = PartyLayout((2, 2))
+    factors = {"u": (KET0, KET0), "v": (KET1, PLUS)}
+    with pytest.raises(ValueError, match="either the states"):
+        Ensemble("p", lay, ["u", "v"], [kron(KET0, KET0), kron(KET1, PLUS)], factors)
+    with pytest.raises(ValueError, match="either the states"):
+        Ensemble("p", lay, ["u", "v"])
+    e = Ensemble("p", lay, ["u", "v"], factors=factors)
+    assert e.is_product
+    for lab, fs in factors.items():
+        assert all(np.array_equal(got, want) for got, want in zip(e.factors[lab], fs))
 
 
 def test_helper_kets():
@@ -149,8 +173,6 @@ def test_local_part_deduplicates():
     assert part.layout.dims == (2,)
     with pytest.raises(ValueError):
         local_part(bell4(), 0)  # not a product ensemble
-    full = local_part(e, "A", deduplicate=False)
-    assert full.n_states == 3
 
 
 def product_catalog():
@@ -161,6 +183,23 @@ def product_catalog():
         if e.is_product:
             out.append(e)
     return out
+
+
+@pytest.mark.parametrize("e", product_catalog() + [sequence_ensemble(pbr4(), 2)],
+                         ids=lambda e: e.name)
+def test_product_states_are_the_kron_of_their_stored_factors(e):
+    for lab in e.labels:
+        full = functools.reduce(kron, e.factors[lab])
+        assert np.max(np.abs(e.state_of(lab) - full)) <= 1e-15
+
+
+@pytest.mark.parametrize("parent, n", [(pbr4(), 2), (su3(), 2), (duan4(), 2),
+                                       (theta4(0.9), 2), (nl2(1.0), 2), (pbr4(), 3)],
+                         ids=lambda x: getattr(x, "name", str(x)))
+def test_sequences_of_a_product_parent_match_the_repartitioned_parent_states(parent, n):
+    seq = sequence_ensemble(parent, n)
+    for lab, tup in zip(seq.labels, seq.index_tuples):
+        assert np.max(np.abs(seq.state_of(lab) - _repartition(parent, tup))) <= 1e-15
 
 
 def built_or_error(build):

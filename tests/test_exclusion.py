@@ -157,6 +157,30 @@ def test_verify_strong_flags_incomplete_sum():
     assert rep.completeness_residual > 0.4
 
 
+def test_verify_strong_flags_a_dead_dedicated_element():
+    """Condition 2 fails on weak3's weak-feasible point: '+' is excluded
+    only by the zero element."""
+    e = weak3()
+    els = [np.diag([0.0, 1.0]), np.diag([1.0, 0.0]), np.zeros((2, 2))]
+    rep = verify_strong(e, Povm(e.layout, els, ["0", "1", "+"]), tol=1e-9)
+    assert rep.povm_ok and rep.condition1_ok and not rep.condition2_ok
+    assert not rep.passed
+    assert rep.failures == ["no firing element is dedicated to '+'"]
+
+
+def test_verify_strong_flags_an_unlabeled_element_that_never_fires():
+    """trine3 embedded in C^3: its certificate plus |2><2| completes the
+    measurement, but the bystander |2><2| never fires."""
+    e, cert = catalog_certificate("trine3")
+    lay = PartyLayout((3,))
+    embedded = Ensemble("trine3 in C3", lay, e.labels, [np.append(v, 0.0) for v in e.states])
+    els = [np.pad(m, ((0, 1), (0, 1))) for m in cert.elements] + [np.diag([0.0, 0.0, 1.0])]
+    rep = verify_strong(embedded, Povm(lay, els, cert.labels + [None]), tol=1e-9)
+    assert rep.povm_ok and rep.condition1_ok and not rep.condition2_ok
+    assert not rep.passed
+    assert rep.failures == ["unlabeled element 3 never fires"]
+
+
 @lru_cache(maxsize=None)
 def catalog_certificate(name):
     """A catalog ensemble with its decide_antidist certificate; "duan4-rotated"
@@ -824,6 +848,21 @@ def test_verify_no_witness_rejects_what_proves_nothing():
     assert verify_no_witness(t, pair_witness(t.states[0], t.states[1])) <= 0
     with pytest.raises(ValueError):
         verify_no_witness(e, np.eye(2))
+
+
+def test_plain_ket_lists_are_read_as_ensembles():
+    """decide_antidist and verify_no_witness take a bare list of kets as the
+    single-party ensemble of those kets."""
+    t = trine3()
+    kets = [v.copy() for v in t.states]
+    got, want = decide_antidist(kets), decide_antidist(t)
+    assert (got.decision, got.method) == (want.decision, want.method) == ("YES", "caves")
+    y = pair_witness(t.states[0], t.states[1])
+    assert verify_no_witness(kets, y) == verify_no_witness(t, y)
+    with pytest.raises(ValueError):
+        decide_antidist(kets[:1])
+    with pytest.raises(ValueError):
+        verify_no_witness(kets[:1], y)
 
 
 def test_pair_route_decides_two_states_exactly():

@@ -70,3 +70,13 @@ def test_every_exported_name_resolves():
     assert len(set(antimark.__all__)) == len(antimark.__all__)
     missing = [name for name in antimark.__all__ if not hasattr(antimark, name)]
     assert missing == []
+
+
+def test_one_kronecker_product():
+    """qcore.kron is the package's one Kronecker product: no code in the
+    package calls numpy's kron."""
+    calls = [f"{mod}:{node.lineno}" for mod, tree in parsed_modules().items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "kron"
+             and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")]
+    assert calls == []
