@@ -18,11 +18,12 @@ from itertools import chain, combinations
 import numpy as np
 
 from .ensembles import Ensemble, check_norm, restrict
-from .qcore import (DEFAULT_TOL, PartyLayout, density, mat_to_pairs, outcome_table,
-                    povm_residuals, same_up_to_phase)
+from .qcore import (DEFAULT_TOL, PartyLayout, density, fires, mat_to_pairs,
+                    measurement_failures, outcome_table, same_up_to_phase)
 from .simplex import simplex_maximize
 
 BOUNDARY_TOL = 1e-9
+SEARCH_TOL = 1e-8    # the least tolerance a search certificate is verified at
 
 
 def _ket(s) -> np.ndarray:
@@ -84,6 +85,7 @@ class OutcomeReport:
     index: int
     label: str | None
     firing: float
+    fires: bool
     exclusion_residual: float | None
     excluded: tuple[str, ...]
     zero: bool
@@ -105,10 +107,11 @@ class StrongReport:
 
 def _outcome_rows(e: Ensemble, els: np.ndarray, labels, tol: float):
     """One OutcomeReport per element: its total probability over the states,
-    the states it excludes, and the residual on the state its label names
-    (None for a label naming no state)."""
+    whether it fires, the states it excludes, and the residual on the state
+    its label names (None for a label naming no state)."""
     table = outcome_table(els, e.states)
     firings = table.sum(axis=1)
+    fired = fires(table, tol)
     zeros = np.max(np.abs(els), axis=(1, 2)) <= tol
     column = {lab: j for j, lab in enumerate(e.labels)}
     for i, lab in enumerate(labels):
@@ -116,7 +119,8 @@ def _outcome_rows(e: Ensemble, els: np.ndarray, labels, tol: float):
         excluded = tuple(x for x, p in zip(e.labels, table[i]) if p <= tol)
         resid = float(table[i, column[lab]]) if lab in column else None
         redundant = zero or (lab is None and len(excluded) == 0)
-        yield OutcomeReport(i, lab, float(firings[i]), resid, excluded, zero, redundant)
+        yield OutcomeReport(i, lab, float(firings[i]), bool(fired[i]), resid, excluded,
+                            zero, redundant)
 
 
 def verify_strong(e: Ensemble, m: Povm, tol: float = DEFAULT_TOL) -> StrongReport:
@@ -124,10 +128,9 @@ def verify_strong(e: Ensemble, m: Povm, tol: float = DEFAULT_TOL) -> StrongRepor
 
     Requirements: valid POVM (PSD within tol, sums to identity within tol),
     every labeled element annihilates its state (condition 1), and for every
-    state some element dedicated to it fires: its probability summed over the
-    k states, k times that under the uniform mixture, exceeds tol (condition
-    2).  Unlabeled elements may ride along; numerically zero ones are flagged
-    redundant, nonzero ones must fire in the same sense.
+    state some element dedicated to it fires by ``qcore.fires`` (condition 2).
+    Unlabeled elements may ride along; numerically zero ones are flagged
+    redundant, nonzero ones must fire too.
 
     Structural defects raise ValueError: mismatched layouts, labels naming no
     state, states with no dedicated element, non-Hermitian elements.
@@ -143,40 +146,37 @@ def verify_strong(e: Ensemble, m: Povm, tol: float = DEFAULT_TOL) -> StrongRepor
     if missing:
         raise ValueError(f"no element is dedicated to excluding: {missing}")
     els = np.asarray(m.elements)
-    herm, comp, mineig = povm_residuals(els)
-    if np.any(herm > tol):
-        raise ValueError(f"element {int(np.argmax(herm > tol))} is not Hermitian")
-
-    failures: list[str] = []
-    povm_ok = comp <= tol and mineig >= -tol
-    if comp > tol:
-        failures.append(f"completeness residual {comp:.3e} exceeds tol")
-    if mineig < -tol:
-        failures.append(f"minimum eigenvalue {mineig:.3e} below -tol")
+    failures, comp, mineig = measurement_failures(els, tol)
+    povm_ok = not failures
 
     rows = list(_outcome_rows(e, els, m.labels, tol))
-    fired = {lab: False for lab in e.labels}
+    fired = {row.label for row in rows if row.fires}
     cond1 = True
     for row in rows:
         if row.label is not None and row.exclusion_residual > tol:
             cond1 = False
             failures.append(f"element {row.index} does not exclude {row.label!r}: "
                             f"residual {row.exclusion_residual:.3e}")
-        if row.label is not None and row.firing > tol:
-            fired[row.label] = True
 
-    cond2 = True
-    for lab in e.labels:
-        if not fired[lab]:
-            cond2 = False
-            failures.append(f"no firing element is dedicated to {lab!r}")
-    for row in rows:
-        if row.label is None and not row.zero and row.firing <= tol:
-            cond2 = False
-            failures.append(f"unlabeled element {row.index} never fires")
+    dead = ([f"no firing element is dedicated to {lab!r}" for lab in e.labels
+             if lab not in fired]
+            + [f"unlabeled element {row.index} never fires" for row in rows
+               if row.label is None and not row.zero and not row.fires])
+    cond2 = not dead
+    failures += dead
 
     passed = povm_ok and cond1 and cond2
     return StrongReport(passed, povm_ok, cond1, cond2, comp, mineig, rows, failures, tol)
+
+
+def _accepted(e: Ensemble, elements, name: str, tol: float) -> Povm:
+    """A built certificate as the labelled measurement on e, once it passes
+    verify_strong at max(tol, 1e-10); RuntimeError when it does not."""
+    povm = Povm(e.layout, elements, list(e.labels), name=name)
+    rep = verify_strong(e, povm, tol=max(tol, 1e-10))
+    if not rep.passed:
+        raise RuntimeError(f"{name} failed verification: {rep.failures[:2]}")
+    return povm
 
 
 # ---------------------------------------------------------------------------
@@ -334,20 +334,12 @@ def qubit_antidist_lp(states, labels=None, tol: float = DEFAULT_TOL) -> Verdict:
     maximizing the smallest weight.  YES iff the optimum exceeds tol; the
     witness measurement sends each state to its antipodal projector scaled by
     its weight.  States equal up to phase are merged before solving and the
-    merged weight is split evenly across them.
+    merged weight is split evenly across them.  The states and labels must
+    make a single-qubit Ensemble (ValueError otherwise).
     """
     vecs = [_ket(s) for s in states]
-    if len(vecs) < 2:
-        raise ValueError("need at least two states")
-    if any(v.size != 2 for v in vecs):
-        raise ValueError("the weight program applies to single-qubit states only")
-    if labels is None:
-        labels = [f"s{i}" for i in range(len(vecs))]
-    labels = list(labels)
-    if len(labels) != len(vecs):
-        raise ValueError("labels and states must have equal length")
-    for lab, v in zip(labels, vecs):
-        check_norm(lab, math.sqrt(np.vdot(v, v).real))
+    labels = [f"s{i}" for i in range(len(vecs))] if labels is None else list(labels)
+    e = Ensemble("qubit set", PartyLayout((2,)), labels, vecs)
 
     reps: list[int] = []
     owner: list[int] = []
@@ -371,12 +363,8 @@ def qubit_antidist_lp(states, labels=None, tol: float = DEFAULT_TOL) -> Verdict:
         return Verdict("NO", "qubit_lp", margins=[t], alphas=alphas,
                        detail=f"best smallest weight {t:.3e} is not positive")
 
-    elements = [a * (np.eye(2) - density(v)) for a, v in zip(alphas, vecs)]
-    povm = Povm(PartyLayout((2,)), elements, labels, name="antipode witness")
-    check = Ensemble("qubit set", PartyLayout((2,)), labels, vecs)
-    rep = verify_strong(check, povm, tol=max(tol, 1e-10))
-    if not rep.passed:
-        raise RuntimeError(f"witness verification failed: {rep.failures[:2]}")
+    povm = _accepted(e, [a * (np.eye(2) - density(v)) for a, v in zip(alphas, vecs)],
+                     "antipode witness", tol)
     return Verdict("YES", "qubit_lp", margins=[t], alphas=alphas, certificate=povm,
                    detail=f"smallest completion weight {t:.6g}")
 
@@ -579,30 +567,30 @@ def _hermitian_basis(d: int) -> np.ndarray:
 
 
 def search_exclusion_povm(e: Ensemble, restarts: int = 3, iters: int = 4000,
-                          seed: int = 0, verify_tol: float = 1e-8) -> Povm | None:
+                          seed: int = 0) -> Povm | None:
     """Numerical search for a strong exclusion measurement on the ensemble.
 
     One call of the feasibility core: each element is parameterized inside
     the orthogonal complement of its target state, so the exclusions hold by
     construction and only completeness is searched for, with ``restarts``
     deterministic restarts of at most ``iters`` iterations each.  The
-    candidate counts only if verify_strong passes at verify_tol; returns
+    candidate counts only if verify_strong passes at SEARCH_TOL; returns
     None when the core finds nothing, stops at a witness, or the check fails.
     """
-    found = _search(e, restarts, iters, seed, verify_tol)
+    found = _search(e, restarts, iters, seed, SEARCH_TOL)
     return found if isinstance(found, Povm) else None
 
 
 def _search(e: Ensemble, restarts: int, iters: int, seed: int,
-            verify_tol: float) -> Povm | np.ndarray | None:
+            check_tol: float) -> Povm | np.ndarray | None:
     """The core on the ensemble's single-state supports: a measurement that
-    passes verify_strong at verify_tol, the core's witness, or None."""
+    passes verify_strong at check_tol, the core's witness, or None."""
     found = _support_core([[s] for s in e.states], e.layout.dim,
-                          verify_tol / 10, restarts, iters, seed)
+                          check_tol / 10, restarts, iters, seed)
     if not isinstance(found, list):
         return found
     povm = Povm(e.layout, found, list(e.labels), name="search certificate")
-    return povm if verify_strong(e, povm, tol=verify_tol).passed else None
+    return povm if verify_strong(e, povm, tol=check_tol).passed else None
 
 
 # ---------------------------------------------------------------------------
@@ -662,11 +650,8 @@ def _pair_verdict(e: Ensemble, tol: float) -> Verdict:
     overlap = abs(np.vdot(a, b))
     if overlap <= tol:
         rest = (np.eye(a.size) - density(a) - density(b)) / 2.0
-        povm = Povm(e.layout, [density(b) + rest, density(a) + rest], list(e.labels),
-                    name="orthogonal pair exclusion")
-        rep = verify_strong(e, povm, tol=max(tol, 1e-10))
-        if not rep.passed:
-            raise RuntimeError(f"pair certificate failed verification: {rep.failures[:2]}")
+        povm = _accepted(e, [density(b) + rest, density(a) + rest],
+                         "orthogonal pair exclusion", tol)
         return Verdict("YES", "pair", certificate=povm,
                        detail="orthogonal pair")
     w, v = np.linalg.eigh(density(a) - density(b))
@@ -764,13 +749,10 @@ def povm_from_caves_triple(states, labels=None, layout: PartyLayout | None = Non
     rep = caves_criterion(vecs, boundary_tol=tol)
     if not rep.passed:
         raise ValueError("the triple fails the three-state criterion")
-    if labels is None:
-        labels = [f"s{i}" for i in range(3)]
-    labels = list(labels)
+    labels = [f"s{i}" for i in range(3)] if labels is None else list(labels)
     d = vecs[0].size
     if layout is None:
         layout = PartyLayout((d,))
-    check_tol = max(tol, 1e-10)
 
     stack = np.stack(vecs)
     _, svals, vh = np.linalg.svd(stack)
@@ -791,13 +773,9 @@ def povm_from_caves_triple(states, labels=None, layout: PartyLayout | None = Non
         raise RuntimeError("no exclusion measurement found inside the span")
 
     rest = (np.eye(d) - basis @ basis.conj().T) / 3.0
-    elements = [basis @ f @ basis.conj().T + rest for f in small]
-    povm = Povm(layout, elements, labels, name="triple exclusion")
-    check = Ensemble("triple", layout, labels, vecs)
-    report = verify_strong(check, povm, tol=check_tol)
-    if not report.passed:
-        raise RuntimeError(f"triple certificate failed verification: {report.failures[:2]}")
-    return povm
+    return _accepted(Ensemble("triple", layout, labels, vecs),
+                     [basis @ f @ basis.conj().T + rest for f in small],
+                     "triple exclusion", tol)
 
 
 # ---------------------------------------------------------------------------
@@ -815,22 +793,19 @@ def exclusion_counts(e: Ensemble, m: Povm, tol: float = DEFAULT_TOL) -> Exclusio
     """Which states each firing outcome excludes, and the worst-case count.
 
     The rows are verify_strong's per-outcome reports, kept for the outcomes
-    whose probability summed over the states (k times the probability under
-    the uniform mixture) exceeds tol; the summary value is the smallest
-    exclusion set over them.  Labels are carried but never checked.  Raises
-    when the elements are not a POVM within tol or if nothing fires.
+    that fire by ``qcore.fires``; the summary value is the smallest exclusion
+    set over them.  Labels are carried but never checked.  Raises ValueError
+    when the elements are not a measurement within tol or if nothing fires.
     """
     if m.layout.dims != e.layout.dims:
         raise ValueError("POVM layout does not match the ensemble layout")
     els = np.asarray(m.elements)
-    herm, comp, mineig = povm_residuals(els)
-    if np.any(herm > tol):
-        raise ValueError("POVM elements must be Hermitian")
-    if comp > tol or mineig < -tol:
-        raise ValueError("not a POVM: completeness or positivity fails")
-    rows = [r for r in _outcome_rows(e, els, m.labels, tol) if r.firing > tol]
+    failures, _, _ = measurement_failures(els, tol)
+    if failures:
+        raise ValueError(f"not a POVM: {'; '.join(failures)}")
+    rows = [r for r in _outcome_rows(e, els, m.labels, tol) if r.fires]
     if not rows:
-        raise ValueError("no outcome fires under the uniform mixture")
+        raise ValueError("no outcome fires")
     return ExclusionCounts(rows, min(len(r.excluded) for r in rows), tol)
 
 
@@ -931,15 +906,15 @@ def decide_antidist(ensemble, tol: float = DEFAULT_TOL, seed: int = 0,
                            triples=[tuple(e.labels[i] for i in t) for t, _ in cover],
                            detail=f"{len(cover)} certified triples")
 
-    verify_tol = max(tol, 1e-8)
-    found = _search(e, restarts, iters, seed, verify_tol)
+    check_tol = max(tol, SEARCH_TOL)
+    found = _search(e, restarts, iters, seed, check_tol)
     if isinstance(found, Povm):
         return Verdict("YES", "search", margins=[], certificate=found,
                        detail="feasibility search certificate")
     if found is not None:
         y = _states_witness(e, found)
         margin = verify_no_witness(e, y)
-        if margin > verify_tol:
+        if margin > check_tol:
             return Verdict("NO", "witness", margins=[margin], witness=y,
                            detail="dual witness from the feasibility core")
 

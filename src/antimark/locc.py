@@ -17,8 +17,8 @@ from itertools import product
 import numpy as np
 
 from .ensembles import Ensemble
-from .qcore import (DEFAULT_TOL, DataError, PartyLayout, density, kron, mat_to_pairs,
-                    outcome_table, povm_residuals)
+from .qcore import (DEFAULT_TOL, DataError, PartyLayout, density, fires, kron,
+                    mat_to_pairs, measurement_failures, outcome_table)
 
 KINDS = ("one_round_product", "two_round_sequential", "randomized_mixture")
 
@@ -31,15 +31,12 @@ def _mat(m, dim: int, what: str) -> np.ndarray:
 
 
 def _povm_sane(els: list[np.ndarray], tol: float, what: str) -> None:
-    if not els:
-        raise ValueError(f"{what}: no elements")
-    herm, comp, mineig = povm_residuals(els)
-    if np.any(herm > tol):
-        raise ValueError(f"{what}: element {int(np.argmax(herm > tol))} is not Hermitian")
-    if mineig < -tol:
-        raise ValueError(f"{what}: an element is not positive (eigenvalue {mineig:.3e})")
-    if comp > tol:
-        raise ValueError(f"{what}: elements do not sum to the identity")
+    try:
+        failures, _, _ = measurement_failures(els, tol)
+    except ValueError as exc:
+        failures = [str(exc)]
+    if failures:
+        raise ValueError(f"{what}: {failures[0]}")
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +159,8 @@ def _validate_pieces(p: LoccProtocol, tol: float) -> None:
 @dataclass
 class ProtocolOutcomeReport:
     outcome: tuple[int, ...]
-    probability: float
+    probability: float  # under the uniform mixture
+    reachable: bool
     claims: tuple[str, ...] | None
     worst_residual: float
 
@@ -186,10 +184,11 @@ def verify_local_protocol(e: Ensemble, p: LoccProtocol,
 
     Sound: every claimed exclusion has probability at most tol on its state.
     Strong pass additionally needs every ensemble label claimed by some
-    reachable outcome and every mapped outcome reachable under the uniform
-    mixture.  Structural defects raise ValueError: mismatched layout, invalid
-    component POVMs, a reachable outcome missing from the map, map keys that
-    match no outcome, claims naming unknown labels, or no map at all.
+    reachable outcome and every mapped outcome reachable, where reachable
+    means firing by ``qcore.fires``, as in verify_strong.  Structural defects
+    raise ValueError: mismatched layout, invalid component POVMs, a reachable
+    outcome missing from the map, map keys that match no outcome, claims
+    naming unknown labels, or no map at all.
     """
     if p.layout.dims != e.layout.dims:
         raise ValueError("protocol layout does not match the ensemble layout")
@@ -211,9 +210,7 @@ def verify_local_protocol(e: Ensemble, p: LoccProtocol,
     unreachable_mapped: list[tuple[int, ...]] = []
     excluded: set[str] = set()
     sound = True
-    for f, probs in zip(flat, table):
-        prob = float(probs.sum()) / e.n_states
-        reachable = prob > tol
+    for f, probs, reachable in zip(flat, table, fires(table, tol)):
         worst = 0.0
         if f.claims is None:
             if reachable:
@@ -233,9 +230,10 @@ def verify_local_protocol(e: Ensemble, p: LoccProtocol,
                                     f"probability {p_lab:.3e}")
             if reachable:
                 excluded.update(f.claims)
-        rows.append(ProtocolOutcomeReport(f.outcome, prob, f.claims, worst))
+        rows.append(ProtocolOutcomeReport(f.outcome, float(probs.sum()) / e.n_states,
+                                          bool(reachable), f.claims, worst))
 
-    # the components already passed povm_residuals; only the flattened sum is reported
+    # the components passed measurement_failures; only the flattened sum is reported
     comp = float(np.max(np.abs(els.sum(axis=0) - np.eye(e.layout.dim))))
     missing = tuple(lab for lab in e.labels if lab not in excluded)
     if missing:
@@ -268,9 +266,9 @@ def verify_conclusive_identification(e: Ensemble, party_povms,
                                      tol: float = DEFAULT_TOL) -> IdentificationReport:
     """Check one simultaneous round of local POVMs for conclusive identification.
 
-    An occurring joint outcome identifies a state when that state is the only
-    one with nonzero probability there; the check passes when every state is
-    identified by at least one outcome.
+    A joint outcome that fires by ``qcore.fires`` identifies a state when that
+    state is the only one with probability above tol there; the check passes
+    when every state is identified by at least one outcome.
     """
     if len(party_povms) != e.layout.n_parties:
         raise ValueError("need one POVM per party")
@@ -281,15 +279,15 @@ def verify_conclusive_identification(e: Ensemble, party_povms,
     table = outcome_table([f.element for f in flat], e.states)
     rows: list[IdentificationOutcome] = []
     hit: set[str] = set()
-    for f, probs in zip(flat, table):
-        prob = float(probs.sum()) / e.n_states
-        if prob <= tol:
+    for f, probs, fired in zip(flat, table, fires(table, tol)):
+        if not fired:
             continue
         support = tuple(lab for lab, p in zip(e.labels, probs) if p > tol)
         ident = support[0] if len(support) == 1 else None
         if ident is not None:
             hit.add(ident)
-        rows.append(IdentificationOutcome(f.outcome, prob, support, ident))
+        rows.append(IdentificationOutcome(f.outcome, float(probs.sum()) / e.n_states,
+                                          support, ident))
     missing = tuple(lab for lab in e.labels if lab not in hit)
     return IdentificationReport(not missing, rows, tuple(sorted(hit)), missing, tol)
 
@@ -495,11 +493,11 @@ def _pair_protocol(e: Ensemble, p: int, q: int, tol: float) -> LoccProtocol:
 
 
 def _prune_unreachable(p: LoccProtocol, e: Ensemble, tol: float) -> None:
-    """Drop exclusion-map entries whose outcomes never occur under e."""
+    """Drop exclusion-map entries whose outcomes never fire under e."""
     flat = flatten_protocol(p)
     table = outcome_table([f.element for f in flat], e.states)
-    for f, probs in zip(flat, table):
-        if f.claims is not None and probs.sum() / e.n_states <= tol:
+    for f, fired in zip(flat, fires(table, tol)):
+        if f.claims is not None and not fired:
             if p.kind == "randomized_mixture":
                 p.mixture[f.outcome[0]][1].exclusion_map.pop(f.outcome[1:], None)
             else:

@@ -19,7 +19,7 @@ from .ensembles import (Ensemble, _party_major, nl2, sequence_ensemble, sequence
 from .exclusion import (Povm, Verdict, _support_feasible, caves_criterion,
                         decide_antidist, exclusion_counts)
 from .locc import LoccProtocol, _mapped_outcomes, flatten_protocol, verify_local_protocol
-from .qcore import DEFAULT_TOL, PartyLayout, kron, outcome_table, povm_residuals
+from .qcore import DEFAULT_TOL, PartyLayout, kron
 
 THETA_WINDOW = math.sqrt(2.0) - 1.0  # positivity bound on cos(2 theta)
 
@@ -101,15 +101,15 @@ def verify_sequence_elimination(task: LsamTask, protocol,
                                 tol: float = DEFAULT_TOL) -> int:
     """Guaranteed eliminations of a measurement on the sequence ensemble.
 
-    Returns the minimum over reachable outcomes of how many sequences the
-    outcome rules out; the task passes iff the result reaches task.m.  A bare
-    Povm (or a protocol without an exclusion map) is counted numerically from
-    its elements by exclusion_counts.  A protocol with an exclusion map goes
-    through verify_local_protocol, whose structural checks raise ValueError
-    (invalid component POVMs, a reachable outcome missing from the map, map
-    keys that match no outcome, unknown labels); an unsound claim raises
-    ValueError with the first failure, and each reachable outcome counts its
-    distinct claims.
+    Returns the minimum over reachable outcomes (those that fire by
+    ``qcore.fires``) of how many sequences the outcome rules out; the task
+    passes iff the result reaches task.m.  A bare Povm (or a protocol without
+    an exclusion map) is counted numerically from its elements by
+    exclusion_counts.  A protocol with an exclusion map goes through
+    verify_local_protocol, whose structural checks raise ValueError (invalid
+    component POVMs, a reachable outcome missing from the map, map keys that
+    match no outcome, unknown labels); an unsound claim raises ValueError with
+    the first failure, and each reachable outcome counts its distinct claims.
     """
     seq = task.sequences()
     if isinstance(protocol, Povm):
@@ -126,7 +126,7 @@ def verify_sequence_elimination(task: LsamTask, protocol,
     rep = verify_local_protocol(seq, protocol, tol=tol)
     if not rep.sound:
         raise ValueError(rep.failures[0])
-    return min(len(set(r.claims)) for r in rep.rows if r.probability > tol)
+    return min(len(set(r.claims)) for r in rep.rows if r.reachable)
 
 
 def lift_first_slot(op, layout: PartyLayout, n_prime: int) -> np.ndarray:
@@ -201,14 +201,14 @@ def _theta_closed_form(t: float) -> list[np.ndarray]:
                     for v, w in zip(vs, ws)]
 
 
-def _theta_family_ok(els, states, tol: float) -> bool:
-    herm, comp, mineig = povm_residuals(els)
-    if comp > tol or np.max(herm) > tol or mineig < -tol:
+def _theta_family_ok(povm: Povm, ensemble: Ensemble, tol: float) -> bool:
+    """Whether exclusion_counts accepts the six-outcome measurement and each
+    firing outcome excludes both sign patterns of its pair-map entry."""
+    try:
+        rows = exclusion_counts(ensemble, povm, tol=tol).outcomes
+    except ValueError:
         return False
-    table = outcome_table(els, list(states.values()))
-    column = {lab: j for j, lab in enumerate(states)}
-    return all(abs(table[j, column[pat]]) <= tol
-               for j, pair in enumerate(PAIR_MAP) for pat in pair)
+    return all(set(PAIR_MAP[r.index]) <= set(r.excluded) for r in rows)
 
 
 def theta_global_measurement(theta: float, seed: int = 0,
@@ -218,17 +218,16 @@ def theta_global_measurement(theta: float, seed: int = 0,
     Valid for cos 2 theta <= sqrt(2) - 1.  Within the closed-form positivity
     window the printed coefficient family is built once (tilts past pi/4 take
     the mirrored tilt's family conjugated by X on both qubits) and checked on
-    the actual states against completeness, positivity and the pair-map
-    exclusions; where that check fails the measurement is synthesized
-    numerically against the same pair map and flagged.  synthesize=True skips
-    the closed form and goes straight to the numerical construction.
+    the actual states by exclusion_counts against the pair map; where that
+    check fails the measurement is synthesized numerically against the same
+    pair map and flagged.  synthesize=True skips the closed form and goes
+    straight to the numerical construction.
     """
     if not 0.0 < theta < math.pi / 2.0:
         raise ValueError("theta must lie in (0, pi/2)")
     if math.cos(2.0 * theta) > THETA_WINDOW + 1e-12:
         raise ValueError("outside the validity region cos 2theta <= sqrt(2) - 1")
     ensemble = theta4(theta)
-    states = dict(zip(ensemble.labels, ensemble.states))
     layout = ensemble.layout
 
     reflected = theta > math.pi / 4.0
@@ -238,15 +237,15 @@ def theta_global_measurement(theta: float, seed: int = 0,
         if reflected:
             xx = kron(np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]]))
             els = [xx @ m @ xx for m in els]
-        if _theta_family_ok(els, states, 1e-10):
-            povm = Povm(layout, els, name=f"tilted pair exclusion (theta={theta:g})")
+        povm = Povm(layout, els, name=f"tilted pair exclusion (theta={theta:g})")
+        if _theta_family_ok(povm, ensemble, 1e-10):
             return ThetaMeasurement(theta, povm, PAIR_MAP, False, reflected)
-    groups = [[states[pat] for pat in pair] for pair in PAIR_MAP]
+    groups = [[ensemble.state_of(pat) for pat in pair] for pair in PAIR_MAP]
     els = _support_feasible(groups, 4, tol=1e-10, seed=seed)
-    if els is not None and _theta_family_ok(els, states, 1e-9):
-        povm = Povm(layout, els,
-                    name=f"synthesized pair exclusion (theta={theta:g})")
-        return ThetaMeasurement(theta, povm, PAIR_MAP, True, False)
+    if els is not None:
+        povm = Povm(layout, els, name=f"synthesized pair exclusion (theta={theta:g})")
+        if _theta_family_ok(povm, ensemble, 1e-9):
+            return ThetaMeasurement(theta, povm, PAIR_MAP, True, False)
     raise RuntimeError("no pair-exclusion measurement found for this tilt")
 
 

@@ -1,5 +1,6 @@
-"""Shared numerical core: party layouts, the outcome-probability table, the
-measurement check, and the few other primitives everything else is built on.
+"""Shared numerical core: party layouts, the outcome-probability table and its
+firing rule, the measurement check, and the few other primitives everything
+else is built on.
 
 Conventions used throughout the package:
 
@@ -88,6 +89,13 @@ def outcome_table(elements, kets) -> np.ndarray:
     return ((els @ vecs.T) * vecs.conj().T).sum(axis=1).real
 
 
+def fires(table: np.ndarray, tol: float) -> np.ndarray:
+    """The package's one firing rule, a flag per row of an outcome_table: an
+    outcome fires (is reachable) when its probability summed over the k
+    states, k times its probability under the uniform mixture, exceeds tol."""
+    return table.sum(axis=1) > tol
+
+
 def povm_residuals(elements) -> tuple[np.ndarray, float, float]:
     """How far a stack of elements is from a measurement.
 
@@ -100,6 +108,23 @@ def povm_residuals(elements) -> tuple[np.ndarray, float, float]:
     herm = np.max(np.abs(els - adj), axis=(1, 2))
     comp = float(np.max(np.abs(els.sum(axis=0) - np.eye(els.shape[1]))))
     return herm, comp, min_eigenvalue((els + adj) / 2)
+
+
+def measurement_failures(elements, tol: float) -> tuple[list[str], float, float]:
+    """The package's one measurement check: ValueError for no elements or a
+    non-Hermitian one, else the completeness and positivity failures (none for
+    a measurement), the completeness residual and the smallest eigenvalue."""
+    if len(elements) == 0:
+        raise ValueError("no elements")
+    herm, comp, mineig = povm_residuals(elements)
+    if np.any(herm > tol):
+        raise ValueError(f"element {int(np.argmax(herm > tol))} is not Hermitian")
+    failures = []
+    if comp > tol:
+        failures.append(f"completeness residual {comp:.3e} exceeds tol")
+    if mineig < -tol:
+        failures.append(f"minimum eigenvalue {mineig:.3e} below -tol")
+    return failures, comp, mineig
 
 
 def density(v) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 PIVOT_TOL = 1e-11
+MAX_PIVOTS = 20000   # per phase; Bland's rule cannot cycle, so this only guards the loop
 
 
 class SimplexResult:
@@ -21,12 +22,11 @@ class SimplexResult:
         self.value = value
 
 
-def _iterate(tableau: np.ndarray, basis: list[int], costs: np.ndarray,
-             max_iter: int) -> str:
+def _iterate(tableau: np.ndarray, basis: list[int], costs: np.ndarray) -> str:
     """Run simplex pivots in place until optimal or unbounded."""
     m = tableau.shape[0]
     n = tableau.shape[1] - 1
-    for _ in range(max_iter):
+    for _ in range(MAX_PIVOTS):
         cb = costs[basis]
         reduced = costs[:n] - cb @ tableau[:, :n]
         entering = -1
@@ -60,7 +60,7 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
             tableau[i] -= tableau[i, col] * tableau[row]
 
 
-def simplex_maximize(c, A, b, max_iter: int = 20000) -> SimplexResult:
+def simplex_maximize(c, A, b) -> SimplexResult:
     c = np.asarray(c, dtype=float).reshape(-1)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -78,7 +78,7 @@ def simplex_maximize(c, A, b, max_iter: int = 20000) -> SimplexResult:
     tableau = np.hstack([A, np.eye(m), b[:, None]])
     costs1 = np.concatenate([np.zeros(n), -np.ones(m)])
     basis = list(range(n, n + m))
-    status = _iterate(tableau, basis, costs1, max_iter)
+    status = _iterate(tableau, basis, costs1)
     if status != "optimal":
         raise RuntimeError("phase-1 LP cannot be unbounded")
     phase1_value = float(costs1[basis] @ tableau[:, -1])
@@ -103,7 +103,7 @@ def simplex_maximize(c, A, b, max_iter: int = 20000) -> SimplexResult:
     # phase 2 on the original columns
     tableau = np.hstack([tableau[:, :n], tableau[:, -1:]])
     costs2 = c.copy()
-    status = _iterate(tableau, basis, costs2, max_iter)
+    status = _iterate(tableau, basis, costs2)
     if status == "unbounded":
         return SimplexResult("unbounded", None, None)
     x = np.zeros(n)

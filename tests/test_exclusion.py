@@ -113,6 +113,17 @@ def test_qubit_lp_rejects_higher_dimensions():
         qubit_antidist_lp([np.eye(3)[0], np.eye(3)[1]])
 
 
+def test_qubit_lp_rejects_repeated_labels_on_either_answer():
+    """The labels are checked on entry, not only on the YES path."""
+    assert qubit_antidist_lp(weak3().states).decision == "NO"
+    assert qubit_antidist_lp(trine3().states).decision == "YES"
+    for e in (weak3(), trine3()):
+        with pytest.raises(ValueError, match="labels must be distinct"):
+            qubit_antidist_lp(e.states, ["a", "a", "b"])
+        with pytest.raises(ValueError):
+            qubit_antidist_lp(e.states, ["a", "b"])
+
+
 def test_qubit_lp_rejects_unnormalized_kets():
     """Checked before the weight program, whose NO path reads no norm."""
     states = weak3().states

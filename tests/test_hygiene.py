@@ -80,3 +80,14 @@ def test_one_kronecker_product():
              if isinstance(node, ast.Attribute) and node.attr == "kron"
              and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")]
     assert calls == []
+
+
+def test_one_measurement_check():
+    """qcore.measurement_failures is the package's one measurement check: no
+    module but qcore calls povm_residuals."""
+    calls = [f"{mod}:{node.lineno}" for mod, tree in parsed_modules().items()
+             if mod != "qcore" for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and (node.func.id if isinstance(node.func, ast.Name)
+                  else getattr(node.func, "attr", None)) == "povm_residuals"]
+    assert calls == []
