@@ -445,10 +445,15 @@ def _support_core(groups: list[list[np.ndarray]], dim: int, tol: float,
     batched: one stack per block size (``_psd_project``) and one precomputed
     affine projection.  A group spanning the whole space leaves a size-0
     block, whose element is zero.  Because exclusion is structural, tangency
-    of the exclusion equalities with the PSD cone cannot slow the iteration;
-    a stall here means the completeness target is out of reach.  Stops once
-    the largest completeness deviation (real and imaginary parts) drops below
-    tol, which callers set to a tenth of the tolerance they verify at.
+    of the exclusion equalities with the PSD cone cannot slow the iteration,
+    but it can still crawl next to a feasible point whose blocks lose rank.
+    Stops once the largest completeness deviation (real and imaginary parts)
+    drops below tol, which callers set to a tenth of the tolerance they
+    verify at.  A restart that goes 400 steps without a 1 % gain stalls;
+    ``_polish`` then runs Gauss-Newton on factored elements from the stalled
+    iterate, and its elements are returned when they complete within tol and
+    every element on a non-empty support fires; otherwise the next restart
+    runs.
 
     On an infeasible problem the difference of two consecutive iterates
     tends to a fixed nonzero vector (Banjac, Goulart, Stellato and Boyd,
@@ -493,6 +498,9 @@ def _support_core(groups: list[list[np.ndarray]], dim: int, tol: float,
             else:
                 since_best += 1
                 if since_best > 400:
+                    polished = _polish(y, stacks, supports, groups, dim, tol)
+                    if polished is not None:
+                        return polished
                     break
             refl = 2.0 * y - x
             prev, x = x, x + refl - (proj @ refl - shift) - y
@@ -524,6 +532,85 @@ def _displacement_witness(step: np.ndarray, pinv: np.ndarray, supports, dim: int
     top = max((float(np.linalg.eigvalsh(b.conj().transpose(0, 2, 1) @ y @ b)[:, -1].max())
                for b in supports), default=0.0)
     return y if 1.0 - dim * max(top, 0.0) > tol else None
+
+
+POLISH_FLOOR = 1e-6    # least eigenvalue a stalled block keeps in its factor
+POLISH_STEPS = 20      # Gauss-Newton steps of one polish
+POLISH_HALVINGS = 20   # step halvings before a polish gives up
+
+
+def _polish(y: np.ndarray, stacks, supports, groups, dim: int, tol: float
+            ) -> list[np.ndarray] | None:
+    """Damped Gauss-Newton on factored elements from a stalled core iterate:
+    the full-dimension elements, or None.
+
+    Each block M_j of y is factored as W_j = V_j sqrt(max(lambda, floor))
+    from its eigendecomposition, so E_j = B_j W_j W_j^dag B_j^dag excludes
+    its group and is positive by construction (Burer and Monteiro, Math.
+    Program. 95, 329, 2003); the floor keeps every column of W_j in play, as
+    a zero column has a zero Jacobian.  Minimum-norm Gauss-Newton steps with
+    a halving line search then solve sum_j E_j = I.  The elements count only
+    when the completeness deviation is below tol, by the core's measure, and
+    every element with a non-empty support fires on the group kets by
+    ``qcore.fires`` at 10 tol, the tolerance callers verify at."""
+    ws = []
+    for _, idx, basis, _ in stacks:
+        lam, v = np.linalg.eigh(np.einsum("nk,kab->nab", y[idx], basis))
+        ws.append(v * np.sqrt(np.maximum(lam, POLISH_FLOOR))[:, None, :])
+    fs, res = _factored_residual(supports, ws, dim)
+    for _ in range(POLISH_STEPS):
+        if np.max(np.abs(res)) < tol:
+            break
+        step = np.linalg.lstsq(_factored_jacobian(supports, fs), -res, rcond=None)[0]
+        dws, at = [], 0
+        for w in ws:
+            m = w.size
+            dws.append((step[at:at + m] + 1j * step[at + m:at + 2 * m]).reshape(w.shape))
+            at += 2 * m
+        t = 1.0
+        for _ in range(POLISH_HALVINGS):
+            trial = [w + t * dw for w, dw in zip(ws, dws)]
+            trial_fs, trial_res = _factored_residual(supports, trial, dim)
+            if trial_res @ trial_res < res @ res:
+                ws, fs, res = trial, trial_fs, trial_res
+                break
+            t /= 2.0
+        else:
+            return None
+    if np.max(np.abs(res)) >= tol:
+        return None
+    els = np.zeros((len(groups), dim, dim), dtype=np.complex128)
+    live = np.zeros(len(groups), dtype=bool)
+    for (pos, *_), f in zip(stacks, fs):
+        els[pos] = f @ f.conj().transpose(0, 2, 1)
+        live[pos] = True
+    table = outcome_table(els, [v for g in groups for v in g])
+    return list(els) if fires(table, 10.0 * tol)[live].all() else None
+
+
+def _factored_residual(supports, ws, dim: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """The factors F_j = B_j W_j, one (n, dim, s) stack per block size, and
+    the completeness deviation sum_j F_j F_j^dag - I as its real and
+    imaginary parts, laid out as the core's affine map lays them out."""
+    fs = [b @ w for b, w in zip(supports, ws)]
+    dev = sum(np.einsum("nic,njc->ij", f, f.conj()) for f in fs) - np.eye(dim)
+    return fs, np.concatenate([dev.real.ravel(), dev.imag.ravel()])
+
+
+def _factored_jacobian(supports, fs) -> np.ndarray:
+    """Jacobian of ``_factored_residual`` in the real and imaginary parts
+    of the W_j, per block size the n*s*s real parts then the n*s*s
+    imaginary parts, each in (block, row, column) order.  Moving W_j[a, c]
+    by 1 (or i) moves the sum by b_a F_c^dag + h.c. (or i b_a F_c^dag + h.c.),
+    with b_a the a-th support vector and F_c the c-th column of F_j."""
+    cols = []
+    for b, f in zip(supports, fs):
+        g = np.einsum("nia,njc->nacij", b, f.conj())
+        gh = g.conj().swapaxes(-1, -2)
+        cols += [(g + gh).reshape(-1, g.shape[-1] ** 2),
+                 (1j * (g - gh)).reshape(-1, g.shape[-1] ** 2)]
+    c = np.concatenate(cols).T
+    return np.concatenate([c.real, c.imag])
 
 
 def _block_stacks(sizes: list[int]
@@ -869,11 +956,13 @@ def decide_antidist(ensemble, tol: float = DEFAULT_TOL, seed: int = 0,
     assembles, and the margins come from ``caves_criterion`` on the chosen
     triples.  Routes (1) and (4) apply the criterion at boundary tolerance
     tol and never run the feasibility core; (5) one call of the
-    feasibility core, which ends at a measurement (YES, method "search") or
-    at a dual witness, rescaled to Y <= rho_j for every j (NO, method
-    "witness", when verify_no_witness gives more than the search's
-    verification tolerance); (6) UNKNOWN.  Every NO comes from an exact
-    criterion or carries ``witness``.
+    feasibility core, which ends at a measurement (YES, method "search",
+    from a Douglas-Rachford iterate or from the Gauss-Newton polish of a
+    restart that stalled, checked by verify_strong either way) or at a dual
+    witness, rescaled to Y <= rho_j for every j (NO, method "witness", when
+    verify_no_witness gives more than the search's verification tolerance);
+    (6) UNKNOWN.  Every NO comes from an exact criterion or carries
+    ``witness``.
     """
     e = _as_ensemble(ensemble)
     k = e.n_states

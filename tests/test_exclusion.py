@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from antimark import exclusion, qcore
 from antimark.ensembles import (Ensemble, bell4, bennett9, duan4, nl1, pbr4,
                                 restrict, sequence_ensemble, sic4, su3, theta4,
                                 trine3, weak3)
-from antimark.exclusion import (Povm, _block_stacks, _hermitian_basis,
+from antimark.exclusion import (Povm, _block_stacks, _factored_jacobian,
+                                _factored_residual, _hermitian_basis,
                                 _orthocomplement, _psd_project, _support_core,
                                 _support_feasible, _triple_basis,
                                 _triple_cover, _triple_screen, caves_criterion,
@@ -807,12 +809,114 @@ def test_quartets_keep_every_yes_and_certify_the_rest():
                                                       "S": "search"}[before]), i
         elif v.decision == "UNKNOWN":
             unknown.append(i)
+        elif i == 3:
+            # the quartet the stall rule cut off, finished by the polish
+            assert (v.decision, v.method) == ("YES", "search")
+            assert verify_strong(e, v.certificate, tol=1e-8).passed
         else:
             assert (v.decision, v.method) == ("NO", "witness"), i
             margin = verify_no_witness(e, v.witness)
             assert margin > 1e-8, i
             assert v.margins == [margin]
-    assert len(unknown) <= 1
+    assert unknown == []
+
+
+# ---------------------------------------------------------------------------
+# the polish where the core stalls
+
+
+def moved_quartet(i, seed):
+    """Quartet i under a seeded Haar rotation, per-state phases and a
+    permutation; labels follow their states."""
+    e = quartet(i)
+    rng = np.random.default_rng(seed)
+    u, r = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    u = u * (np.diag(r) / np.abs(np.diag(r)))
+    phases = np.exp(2j * math.pi * rng.uniform(size=4))
+    order = rng.permutation(4)
+    return Ensemble(f"q{i} moved", PartyLayout((3,)), [e.labels[k] for k in order],
+                    [phases[k] * (u @ e.states[k]) for k in order])
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4],
+                         ids=["base", "moved0", "moved1", "moved2", "moved3", "moved4"])
+def test_q1003_ends_yes_by_search_with_a_verified_certificate(seed):
+    """The quartet of generator seed 1003 stalls the Douglas-Rachford core;
+    the polish finishes it at the default budget and, moved, at the
+    cross-validation budget of 2 restarts of 1500 steps."""
+    if seed is None:
+        e = quartet(3)
+        v = decide_antidist(e)
+    else:
+        e = moved_quartet(3, seed)
+        v = decide_antidist(e, restarts=2, iters=1500)
+    assert (v.decision, v.method) == ("YES", "search")
+    assert verify_strong(e, v.certificate, tol=1e-8).passed
+
+
+def test_factored_jacobian_matches_central_differences():
+    """Blocks of sizes 3, 2, 2 and 1 (the two of size 2 in one stack), with
+    a rank-1 factor and a factor with a zero column."""
+    rng = np.random.default_rng(5)
+    dim = 4
+    kets = [haar(dim, rng) for _ in range(6)]
+    supports = [_orthocomplement(kets[:1], dim)[None],
+                np.stack([_orthocomplement(kets[1:3], dim), _orthocomplement(kets[3:5], dim)]),
+                _orthocomplement(kets[3:], dim)[None]]
+    ws = [rng.normal(size=(b.shape[0], b.shape[2], b.shape[2]))
+          + 1j * rng.normal(size=(b.shape[0], b.shape[2], b.shape[2])) for b in supports]
+    ws[0][0] = np.outer(ws[0][0][:, 0], ws[0][0][0])
+    ws[1][1][:, 1] = 0.0
+    fs, _ = _factored_residual(supports, ws, dim)
+    jac = _factored_jacobian(supports, fs)
+
+    h = 1e-6
+    cols, zero_column = [], []
+    for i, w in enumerate(ws):
+        for unit in (1.0, 1j):
+            for pos in np.ndindex(w.shape):
+                def moved(t):
+                    out = [v.copy() for v in ws]
+                    out[i][pos] += t * unit
+                    return _factored_residual(supports, out, dim)[1]
+                cols.append((moved(h) - moved(-h)) / (2.0 * h))
+                zero_column.append(i == 1 and pos[0] == 1 and pos[2] == 1)
+    fd = np.column_stack(cols)
+    assert jac.shape == fd.shape == (2 * dim * dim, 2 * sum(w.size for w in ws))
+    np.testing.assert_allclose(jac, fd, rtol=1e-6, atol=1e-6 * np.abs(jac).max())
+    # a zero column of a factor moves nothing: why the polish floors the spectrum
+    assert not jac[:, zero_column].any()
+
+
+def test_a_polished_point_with_a_dead_element_falls_through_to_the_next_restart(monkeypatch):
+    e = quartet(3)
+    groups = [[s] for s in e.states]
+    seen = []
+
+    def all_dead(table, tol):
+        seen.append(None)
+        return np.zeros(len(table), dtype=bool)
+
+    monkeypatch.setattr(exclusion, "fires", all_dead)
+    assert _support_core(groups, 3, 1e-9, 2, 1500, 0) is None
+    assert len(seen) == 2   # both restarts stalled, and neither polished point counts
+
+    seen.clear()
+
+    def dead_first(table, tol):
+        out = qcore.fires(table, tol)
+        seen.append(out.copy())
+        if len(seen) == 1:
+            out[0] = False
+        return out
+
+    monkeypatch.setattr(exclusion, "fires", dead_first)
+    els = _support_core(groups, 3, 1e-9, 2, 1500, 0)
+    # restart 0's point fired everywhere but was reported dead, so restart 1 ran
+    assert len(seen) == 2 and seen[0].all() and seen[1].all()
+    assert isinstance(els, list)
+    monkeypatch.undo()
+    assert verify_strong(e, Povm(e.layout, els, list(e.labels)), tol=1e-8).passed
 
 
 def test_core_witness_bounds_every_compression():

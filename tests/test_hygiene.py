@@ -1,10 +1,13 @@
-"""Static checks on the package source: no unused imports and no private
-module-level function or class that nothing else refers to."""
+"""Checks on the package source: no unused imports, no private module-level
+function or class that nothing else refers to, one implementation of each
+shared kernel, and fixed parameters for the search entry points."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import antimark
+from antimark import exclusion
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "antimark"
 
@@ -91,3 +94,22 @@ def test_one_measurement_check():
              and (node.func.id if isinstance(node.func, ast.Name)
                   else getattr(node.func, "attr", None)) == "povm_residuals"]
     assert calls == []
+
+
+def test_the_search_entry_points_keep_their_parameters():
+    """The core's polish runs where the stall rule fires and takes no
+    setting: the parameters of the core and of every route into it stay
+    these, names and defaults alike."""
+    def params(f):
+        return [(p.name, p.default) for p in inspect.signature(f).parameters.values()]
+    empty = inspect.Parameter.empty
+    assert params(exclusion._support_core) == [
+        ("groups", empty), ("dim", empty), ("tol", empty), ("restarts", empty),
+        ("iters", empty), ("seed", empty)]
+    assert params(exclusion._search) == [
+        ("e", empty), ("restarts", empty), ("iters", empty), ("seed", empty),
+        ("check_tol", empty)]
+    assert params(exclusion.search_exclusion_povm) == [
+        ("e", empty), ("restarts", 3), ("iters", 4000), ("seed", 0)]
+    assert params(exclusion.decide_antidist) == [
+        ("ensemble", empty), ("tol", 1e-9), ("seed", 0), ("restarts", 3), ("iters", 4000)]
