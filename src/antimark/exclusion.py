@@ -420,7 +420,9 @@ def _orthocomplement(vectors: list[np.ndarray], dim: int) -> np.ndarray:
     return u[:, rank:]
 
 
-WITNESS_EVERY = 50   # core steps between two looks at the displacement
+WITNESS_EVERY = 10   # core steps between two looks at the displacement
+STALL_STEPS = 50     # steps without a 1 % gain after which a restart is polished
+GIVE_UP_STEPS = 400  # steps without a 1 % gain after which a restart ends
 
 
 def _support_feasible(groups: list[list[np.ndarray]], dim: int, tol: float,
@@ -435,9 +437,16 @@ def _support_feasible(groups: list[list[np.ndarray]], dim: int, tol: float,
 def _support_core(groups: list[list[np.ndarray]], dim: int, tol: float,
                   restarts: int, iters: int, seed: int
                   ) -> list[np.ndarray] | np.ndarray | None:
+    """The first answer of ``_core_answers``: the full-dimension elements (a
+    list), a witness Y (an array), or None when no restart closes either way."""
+    return next(_core_answers(groups, dim, tol, restarts, iters, seed), None)
+
+
+def _core_answers(groups: list[list[np.ndarray]], dim: int, tol: float,
+                  restarts: int, iters: int, seed: int):
     """POVM whose j-th element is supported on the orthocomplement of the
     j-th ket group, so the group exclusions hold exactly by construction, or
-    a witness that no such POVM exists.
+    witnesses that no such POVM exists, as they are found.
 
     The package's one feasibility solver.  Works in the reduced coordinates
     of one Hermitian block per support and runs Douglas-Rachford between the
@@ -449,32 +458,38 @@ def _support_core(groups: list[list[np.ndarray]], dim: int, tol: float,
     but it can still crawl next to a feasible point whose blocks lose rank.
     Stops once the largest completeness deviation (real and imaginary parts)
     drops below tol, which callers set to a tenth of the tolerance they
-    verify at.  A restart that goes 400 steps without a 1 % gain stalls;
-    ``_polish`` then runs Gauss-Newton on factored elements from the stalled
-    iterate, and its elements are returned when they complete within tol and
-    every element on a non-empty support fires; otherwise the next restart
-    runs.
+    verify at.  A restart that goes STALL_STEPS steps without a 1 % gain
+    stalls; ``_polish`` then runs Gauss-Newton on factored elements from the
+    stalled iterate, and its elements are yielded when they complete within
+    tol and every element on a non-empty support fires.  Otherwise the
+    restart runs on, so that the witness of an infeasible problem whose
+    residual flattens first is still found, and it ends after GIVE_UP_STEPS
+    steps without a 1 % gain; then the next restart runs.
 
     On an infeasible problem the difference of two consecutive iterates
     tends to a fixed nonzero vector (Banjac, Goulart, Stellato and Boyd,
     JOTA 183, 2019), which maps to a Farkas certificate.  Every
     WITNESS_EVERY steps that difference is taken to a Hermitian dim x dim
-    matrix Y of unit trace (``_displacement_witness``); the core stops at Y
-    once its compressions onto the supports satisfy
+    matrix Y of unit trace (``_displacement_witness``); Y is yielded when
+    its compressions onto the supports satisfy
     1 - dim * max_j lambda_max(B_j^dag Y B_j)_+ > tol, which rules out every
-    such POVM.  Returns the full-dimension elements (a list), the witness Y
-    (an array), or None when no restart closes either way.
+    such POVM.  An early look can find a Y whose margin is too thin for the
+    caller's own check; the iteration then goes on when the caller asks for
+    the next answer.  Yields witnesses (arrays) and at most one list of
+    full-dimension elements, after which it ends.
     """
     bases = [_orthocomplement(g, dim) for g in groups]
     sizes = [b.shape[1] for b in bases]
     stacks = _block_stacks(sizes)
     cols = np.zeros((dim * dim, sum(s * s for s in sizes)), dtype=np.complex128)
-    supports = []
+    supports, adjoints = [], []
     for pos, idx, basis, _ in stacks:
         b = np.stack([bases[j] for j in pos])
-        full = b[:, None] @ basis @ b.conj().transpose(0, 2, 1)[:, None]  # b g b^dag
+        bh = b.conj().transpose(0, 2, 1)
+        full = b[:, None] @ basis @ bh[:, None]  # b g b^dag
         cols[:, idx.ravel()] = full.reshape(idx.size, dim * dim).T
         supports.append(b)
+        adjoints.append(bh)
     lin = np.concatenate([cols.real, cols.imag])
     target = np.concatenate([np.eye(dim).ravel(), np.zeros(dim * dim)])
     pinv = np.linalg.pinv(lin, rcond=1e-12)
@@ -490,29 +505,31 @@ def _support_core(groups: list[list[np.ndarray]], dim: int, tol: float,
             y = _psd_project(x, stacks)
             res = float(np.max(np.abs(lin @ y - target)))
             if res < tol:
-                return [(c @ p).reshape(dim, dim) for c, p in
-                        zip(np.split(cols, cuts, axis=1), np.split(y, cuts))]
+                yield [(c @ p).reshape(dim, dim) for c, p in
+                       zip(np.split(cols, cuts, axis=1), np.split(y, cuts))]
+                return
             if res < best * 0.99:
                 best = res
                 since_best = 0
             else:
                 since_best += 1
-                if since_best > 400:
+                if since_best == STALL_STEPS:
                     polished = _polish(y, stacks, supports, groups, dim, tol)
                     if polished is not None:
-                        return polished
+                        yield polished
+                        return
+                elif since_best > GIVE_UP_STEPS:
                     break
             refl = 2.0 * y - x
             prev, x = x, x + refl - (proj @ refl - shift) - y
             if it % WITNESS_EVERY == 0:
-                w = _displacement_witness(x - prev, pinv, supports, dim, tol)
+                w = _displacement_witness(x - prev, pinv, supports, adjoints, dim, tol)
                 if w is not None:
-                    return w
-    return None
+                    yield w
 
 
-def _displacement_witness(step: np.ndarray, pinv: np.ndarray, supports, dim: int,
-                          tol: float) -> np.ndarray | None:
+def _displacement_witness(step: np.ndarray, pinv: np.ndarray, supports, adjoints,
+                          dim: int, tol: float) -> np.ndarray | None:
     """The core's displacement as a unit-trace Hermitian matrix Y, returned
     when 1 - dim * max_j lambda_max(B_j^dag Y B_j)_+ exceeds tol, else None.
 
@@ -520,7 +537,8 @@ def _displacement_witness(step: np.ndarray, pinv: np.ndarray, supports, dim: int
     they are; a positive value certifies that no PSD elements supported on
     the B_j sum to the identity, since Tr Y = sum_j Tr(E_j Y) would be at most
     dim * max_j lambda_max.  ``supports`` holds the (n, dim, s) stacks of
-    orthonormal support bases, one per block size."""
+    orthonormal support bases, one per block size, and ``adjoints`` their
+    conjugate transposes, built once per core call."""
     n = dim * dim
     v = pinv.T @ step
     y = (v[:n] + 1j * v[n:]).reshape(dim, dim)
@@ -529,8 +547,8 @@ def _displacement_witness(step: np.ndarray, pinv: np.ndarray, supports, dim: int
     if not trace:
         return None
     y = y / trace
-    top = max((float(np.linalg.eigvalsh(b.conj().transpose(0, 2, 1) @ y @ b)[:, -1].max())
-               for b in supports), default=0.0)
+    top = max((float(np.linalg.eigvalsh(bh @ y @ b)[:, -1].max())
+               for b, bh in zip(supports, adjoints)), default=0.0)
     return y if 1.0 - dim * max(top, 0.0) > tol else None
 
 
@@ -671,13 +689,26 @@ def search_exclusion_povm(e: Ensemble, restarts: int = 3, iters: int = 4000,
 def _search(e: Ensemble, restarts: int, iters: int, seed: int,
             check_tol: float) -> Povm | np.ndarray | None:
     """The core on the ensemble's single-state supports: a measurement that
-    passes verify_strong at check_tol, the core's witness, or None."""
-    found = _support_core([[s] for s in e.states], e.layout.dim,
-                          check_tol / 10, restarts, iters, seed)
-    if not isinstance(found, list):
-        return found
-    povm = Povm(e.layout, found, list(e.labels), name="search certificate")
-    return povm if verify_strong(e, povm, tol=check_tol).passed else None
+    passes verify_strong at check_tol, the first witness of the core that
+    ``_states_witness`` takes to a verify_no_witness margin above check_tol,
+    or None.  The core runs on past a witness whose margin falls short,
+    since an early look can see a displacement that has not settled; once
+    two such margins in a row agree within 1 %, the displacement has
+    settled below check_tol and the search ends."""
+    last = None
+    for found in _core_answers([[s] for s in e.states], e.layout.dim,
+                               check_tol / 10, restarts, iters, seed):
+        if isinstance(found, list):
+            povm = Povm(e.layout, found, list(e.labels), name="search certificate")
+            return povm if verify_strong(e, povm, tol=check_tol).passed else None
+        y = _states_witness(e, found)
+        margin = verify_no_witness(e, y)
+        if margin > check_tol:
+            return y
+        if last is not None and abs(margin - last) <= 0.01 * abs(last):
+            return None
+        last = margin
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -958,9 +989,13 @@ def decide_antidist(ensemble, tol: float = DEFAULT_TOL, seed: int = 0,
     tol and never run the feasibility core; (5) one call of the
     feasibility core, which ends at a measurement (YES, method "search",
     from a Douglas-Rachford iterate or from the Gauss-Newton polish of a
-    restart that stalled, checked by verify_strong either way) or at a dual
-    witness, rescaled to Y <= rho_j for every j (NO, method "witness", when
-    verify_no_witness gives more than the search's verification tolerance);
+    restart that went STALL_STEPS steps without a 1 % gain, checked by
+    verify_strong either way) or at a dual witness, looked for every
+    WITNESS_EVERY steps and rescaled to Y <= rho_j for every j (NO, method
+    "witness", at the first witness where verify_no_witness gives more than
+    the search's verification tolerance; the search ends when two witness
+    margins in a row fall short and agree within 1 %, and a restart ends
+    after GIVE_UP_STEPS steps without a 1 % gain);
     (6) UNKNOWN.  Every NO comes from an exact criterion or carries
     ``witness``.
     """
@@ -1001,11 +1036,8 @@ def decide_antidist(ensemble, tol: float = DEFAULT_TOL, seed: int = 0,
         return Verdict("YES", "search", margins=[], certificate=found,
                        detail="feasibility search certificate")
     if found is not None:
-        y = _states_witness(e, found)
-        margin = verify_no_witness(e, y)
-        if margin > check_tol:
-            return Verdict("NO", "witness", margins=[margin], witness=y,
-                           detail="dual witness from the feasibility core")
+        return Verdict("NO", "witness", margins=[verify_no_witness(e, found)],
+                       witness=found, detail="dual witness from the feasibility core")
 
     return Verdict("UNKNOWN", "exhausted", margins=[],
                    detail="exact criteria do not apply and the search budget "

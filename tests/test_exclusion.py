@@ -395,9 +395,10 @@ def test_triple_routes_never_run_the_feasibility_core(monkeypatch):
 
     def counting(*args, **kw):
         calls.append(args)
-        return _support_core(*args, **kw)
+        return core(*args, **kw)
 
-    monkeypatch.setattr("antimark.exclusion._support_core", counting)
+    core = exclusion._core_answers
+    monkeypatch.setattr("antimark.exclusion._core_answers", counting)
     for e in (trine3(), duan4(), sequence_ensemble(su3(), 2),
               sequence_ensemble(pbr4(), 2), sequence_ensemble(pbr4(), 3)):
         assert decide_antidist(e).decision == "YES", e.name
@@ -840,10 +841,13 @@ def moved_quartet(i, seed):
 
 @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4],
                          ids=["base", "moved0", "moved1", "moved2", "moved3", "moved4"])
-def test_q1003_ends_yes_by_search_with_a_verified_certificate(seed):
+def test_q1003_ends_yes_by_search_with_a_verified_certificate(monkeypatch, seed):
     """The quartet of generator seed 1003 stalls the Douglas-Rachford core;
     the polish finishes it at the default budget and, moved, at the
-    cross-validation budget of 2 restarts of 1500 steps."""
+    cross-validation budget of 2 restarts of 1500 steps.  A restart stalls
+    after STALL_STEPS flat steps, so the polish of restart 0 ends the search
+    well before 100 core steps."""
+    steps = count_core_steps(monkeypatch)
     if seed is None:
         e = quartet(3)
         v = decide_antidist(e)
@@ -851,7 +855,109 @@ def test_q1003_ends_yes_by_search_with_a_verified_certificate(seed):
         e = moved_quartet(3, seed)
         v = decide_antidist(e, restarts=2, iters=1500)
     assert (v.decision, v.method) == ("YES", "search")
+    assert len(steps) < 100, len(steps)
     assert verify_strong(e, v.certificate, tol=1e-8).passed
+
+
+def count_core_steps(monkeypatch):
+    """A list that gains one entry per Douglas-Rachford step of the core:
+    each step projects onto the block PSD cones once."""
+    steps = []
+
+    def counting(x, stacks):
+        steps.append(None)
+        return _psd_project(x, stacks)
+
+    monkeypatch.setattr(exclusion, "_psd_project", counting)
+    return steps
+
+
+def record_witness_margins(monkeypatch):
+    """A list that gains the margin of every witness the search checks."""
+    margins = []
+
+    def recording(ensemble, y):
+        margins.append(verify_no_witness(ensemble, y))
+        return margins[-1]
+
+    monkeypatch.setattr(exclusion, "verify_no_witness", recording)
+    return margins
+
+
+def test_no_quartets_stop_at_their_witness_within_30_steps(monkeypatch):
+    """The witness is looked for every WITNESS_EVERY steps, so a NO quartet
+    stops at the first look that holds it, not after 50 steps."""
+    steps = count_core_steps(monkeypatch)
+    for i in NO_QUARTETS:
+        e = quartet(i)
+        steps.clear()
+        v = decide_antidist(e)
+        assert (v.decision, v.method) == ("NO", "witness"), i
+        assert 0 < len(steps) <= 30, (i, len(steps))
+        assert verify_no_witness(e, v.witness) > 1e-8, i
+
+
+def embedded_qubits(k, seed, d):
+    """k Haar qubit states placed in C^d and turned by a Haar unitary."""
+    rng = np.random.default_rng([k, seed, d, 7])
+    u, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    u = u * (np.diag(r) / np.abs(np.diag(r)))
+    kets = [u @ np.concatenate([haar(2, rng), np.zeros(d - 2)]) for _ in range(k)]
+    return Ensemble(f"qubits k{k} s{seed} in C^{d}", PartyLayout((d,)),
+                    [f"s{j}" for j in range(k)], kets)
+
+
+@pytest.mark.parametrize("k,seed,d", [(6, 141, 3), (6, 69, 4), (6, 79, 4)])
+def test_a_restart_runs_on_past_a_failed_polish_to_its_witness(monkeypatch, k, seed, d):
+    """Six qubit states in C^3 or C^4: the residual flattens, and the polish
+    runs and fails, some 70-170 steps before the displacement settles on a
+    witness.  The restart goes on after the polish, so the answer is NO."""
+    polish, polished = exclusion._polish, []
+
+    def recording(*args):
+        polished.append(polish(*args))
+        return polished[-1]
+
+    monkeypatch.setattr(exclusion, "_polish", recording)
+    e = embedded_qubits(k, seed, d)
+    v = decide_antidist(e)
+    assert (v.decision, v.method) == ("NO", "witness")
+    assert verify_no_witness(e, v.witness) > 1e-8
+    assert polished and all(p is None for p in polished)
+
+
+def test_a_witness_too_thin_for_the_search_lets_the_core_run_on(monkeypatch):
+    """Quartet 86 under the rotation of seed 435, embedded in C^4: the look
+    at step 10 finds a witness that proves infeasibility but whose rescaled
+    margin is far below the search's 1e-8; a later look finds one that
+    passes, so the answer is NO rather than UNKNOWN."""
+    e = quartet(86)
+    rng = np.random.default_rng(435)
+    u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    phases = np.exp(2j * math.pi * rng.uniform(size=4))
+    order = rng.permutation(4)
+    states = [np.concatenate([s, np.zeros(1)]) for s in e.states]
+    moved = Ensemble("moved", PartyLayout((4,)), [f"r{k}" for k in range(4)],
+                     [phases[k] * (u @ states[k]) for k in order])
+    margins = record_witness_margins(monkeypatch)
+    v = decide_antidist(moved)
+    assert (v.decision, v.method) == ("NO", "witness")
+    assert 0.0 < margins[0] <= 1e-8 < margins[-1]
+    assert verify_no_witness(moved, v.witness) > 1e-8
+
+
+def test_the_search_ends_once_a_thin_witness_margin_settles(monkeypatch):
+    """Six qubit states in C^4 whose witness margin settles near 3.2e-9,
+    below the search's 1e-8: the search ends at the second short margin
+    that agrees with the one before within 1 %, not after every restart's
+    flat steps (about 1300 core steps)."""
+    steps = count_core_steps(monkeypatch)
+    margins = record_witness_margins(monkeypatch)
+    v = decide_antidist(embedded_qubits(6, 1297, 4))
+    assert v.decision == "UNKNOWN"
+    assert len(steps) < 200, len(steps)
+    assert all(0.0 < m <= 1e-8 for m in margins)
+    assert abs(margins[-1] - margins[-2]) <= 0.01 * margins[-2]
 
 
 def test_factored_jacobian_matches_central_differences():

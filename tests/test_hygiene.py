@@ -103,7 +103,7 @@ def test_the_search_entry_points_keep_their_parameters():
     def params(f):
         return [(p.name, p.default) for p in inspect.signature(f).parameters.values()]
     empty = inspect.Parameter.empty
-    assert params(exclusion._support_core) == [
+    assert params(exclusion._support_core) == params(exclusion._core_answers) == [
         ("groups", empty), ("dim", empty), ("tol", empty), ("restarts", empty),
         ("iters", empty), ("seed", empty)]
     assert params(exclusion._search) == [
