@@ -349,14 +349,17 @@ def theta4(theta: float) -> Ensemble:
     return product_ensemble("theta4", lay, ["++", "+-", "-+", "--"], rows)
 
 
+# nl2's states, labelled by their party factors: "0" is |0>, "t" the tilted ket.
+NL2_PATTERN = ("000", "0tt", "t0t")
+
+
 def nl2(theta: float) -> Ensemble:
     """Three tripartite products of |0> and cos(t)|0> + sin(t)|1>."""
     if not 0.0 < theta < math.pi:
         raise ValueError("nl2 requires 0 < theta < pi")
-    t = angle_ket(theta)
-    lay = PartyLayout((2, 2, 2))
-    rows = [(KET0, KET0, KET0), (KET0, t, t), (t, KET0, t)]
-    return product_ensemble("nl2", lay, ["000", "0tt", "t0t"], rows)
+    kets = {"0": KET0, "t": angle_ket(theta)}
+    rows = [tuple(kets[c] for c in lab) for lab in NL2_PATTERN]
+    return product_ensemble("nl2", PartyLayout((2, 2, 2)), NL2_PATTERN, rows)
 
 
 def su3() -> Ensemble:

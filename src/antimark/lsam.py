@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
-from .ensembles import (Ensemble, _party_major, nl2, sequence_ensemble, sequence_local_part,
-                        theta4)
-from .exclusion import (Povm, Verdict, _support_feasible, caves_criterion,
+from .ensembles import (NL2_PATTERN, Ensemble, _party_major, sequence_ensemble,
+                        sequence_local_part, theta4)
+from .exclusion import (BOUNDARY_TOL, Povm, Verdict, _caves_inequalities, _support_feasible,
                         decide_antidist, exclusion_counts)
 from .locc import LoccProtocol, _mapped_outcomes, flatten_protocol, verify_local_protocol
 from .qcore import DEFAULT_TOL, PartyLayout, kron
@@ -293,30 +294,47 @@ class SweepResult:
     regions: list[tuple[float, float]]  # where the family's gap flag holds
 
 
-def _nl2_flags(theta: float, keys) -> dict[str, bool]:
-    """The requested flags at one tilt: the three-state verdict of nl2, and
-    whether some party's local part of the two-draw task passes it."""
-    e = nl2(theta)
-    flags = {}
-    if "global" in keys:
-        flags["global"] = caves_criterion(e.states).passed
-    if "local" in keys:
-        flags["local"] = False
-        for p in range(3):
-            part = sequence_local_part(e, 2, p)
-            if part.n_states == 3 and caves_criterion(part.states).passed:
-                flags["local"] = True
-                break
-    return flags
+def _nl2_flag(thetas: np.ndarray, key: str) -> np.ndarray:
+    """One flag of nl2 at every tilt: its three-state verdict ("global"), or
+    whether some party's local part of the two-draw task passes it ("local").
+
+    Both read squared overlaps only, so they come from the per-party Gram
+    matrices of nl2's factors, |0> and the normalised angle_ket, laid out by
+    NL2_PATTERN.  A global overlap is the product of the party entries; the
+    sequences (i, j) and (k, l) overlap in a party by G[i,k] G[j,l].  A local
+    part keeps the first of any sequence kets whose squared overlap is within
+    DEFAULT_TOL of 1, as local_part keeps the first label, and a part left
+    with fewer than three kets is not local.  Every verdict is
+    _caves_inequalities on the stacked overlaps.
+    """
+    t = np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
+    t /= np.linalg.norm(t, axis=-1, keepdims=True)
+    base = np.ones((len(thetas), 2, 2))
+    base[:, 0, 1] = base[:, 1, 0] = t[:, 0]
+    pat = np.array([[c == "t" for c in lab] for lab in NL2_PATTERN], dtype=np.intp).T
+    gram = base[:, pat[:, :, None], pat[:, None, :]]  # (tilt, party, state, state)
+    if key == "global":
+        x = np.prod(gram, axis=1) ** 2
+        *_, sum_ok, quartic_ok = _caves_inequalities(x[:, 0, 1], x[:, 0, 2], x[:, 1, 2],
+                                                     BOUNDARY_TOL)
+        return sum_ok & quartic_ok
+    i, j = np.array(list(permutations(range(3), 2))).T
+    x = (gram[..., i[:, None], i] * gram[..., j[:, None], j]) ** 2
+    dup = np.any(np.tril(x >= 1.0 - DEFAULT_TOL, k=-1), axis=-1)
+    a, b, c = np.moveaxis(np.argsort(dup, axis=-1, kind="stable")[..., :3], -1, 0)
+    tilt, party = np.ogrid[:len(thetas), :3]
+    *_, sum_ok, quartic_ok = _caves_inequalities(x[tilt, party, a, b], x[tilt, party, a, c],
+                                                 x[tilt, party, b, c], BOUNDARY_TOL)
+    return np.any(sum_ok & quartic_ok & (np.sum(~dup, axis=-1) == 3), axis=-1)
 
 
-def _theta4_flags(theta: float, keys) -> dict[str, bool]:
-    return {"closed_form": abs(math.cos(2.0 * theta)) <= THETA_WINDOW}
+def _theta4_flag(thetas: np.ndarray, key: str) -> np.ndarray:
+    return np.abs(np.cos(2.0 * thetas)) <= THETA_WINDOW
 
 
-_FAMILIES = {"nl2": (_nl2_flags, ("global", "local"), 0.0, math.pi,
-                     lambda f: f["global"] and not f["local"]),
-             "theta4": (_theta4_flags, ("closed_form",), 0.0, math.pi / 2.0,
+_FAMILIES = {"nl2": (_nl2_flag, ("global", "local"), 0.0, math.pi,
+                     lambda f: f["global"] & ~f["local"]),
+             "theta4": (_theta4_flag, ("closed_form",), 0.0, math.pi / 2.0,
                         lambda f: f["closed_form"])}
 
 
@@ -324,11 +342,16 @@ def sweep_theta(family: str, grid) -> SweepResult:
     """Evaluate a tilt family on a sorted grid and refine decision boundaries.
 
     nl2 tracks the global three-state verdict and the local-part verdict of
-    the two-draw task; theta4 tracks the closed-form positivity window.
-    Boundaries between differing neighbours are bisected to width 1e-6, each
-    bisection step evaluating only the flag it bisects, and the regions where
-    the family's gap flag holds (nl2: global YES with local NO) are reported
-    between refined boundaries.
+    the two-draw task, both read from the Gram matrices of nl2's party
+    factors; a local part that collapses below three distinct kets (near
+    tilt 0 or pi) reads as local NO.  theta4 tracks the closed-form
+    positivity window.  Each flag is evaluated for a whole array of tilts in
+    one call per key: once on the grid, once per halving while every
+    boundary between differing neighbours of that key is bisected in
+    lockstep to width 1e-6, and once on the cell midpoints to report the
+    regions where the family's gap flag holds (nl2: global YES with local
+    NO) between refined boundaries.  Flags are plain bools, boundaries and
+    regions plain floats.
     """
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -341,29 +364,31 @@ def sweep_theta(family: str, grid) -> SweepResult:
     if grid[0] <= lo or grid[-1] >= hi:
         raise ValueError(f"grid must stay inside ({lo:g}, {hi:g})")
 
-    points = [SweepPoint(t, flag_fn(t, keys)) for t in grid]
+    thetas = np.array(grid)
+    flags = {key: flag_fn(thetas, key) for key in keys}
+    points = [SweepPoint(t, {key: bool(flags[key][n]) for key in keys})
+              for n, t in enumerate(grid)]
     boundaries = []
-    for key in keys:
-        for (ta, fa), (tb, fb) in zip(((p.theta, p.flags) for p in points),
-                                      ((p.theta, p.flags) for p in points[1:])):
-            if fa[key] == fb[key]:
-                continue
-            a, b, va = ta, tb, fa[key]
-            while b - a > 1e-6:
-                mid = (a + b) / 2.0
-                if flag_fn(mid, (key,))[key] == va:
-                    a = mid
-                else:
-                    b = mid
-            boundaries.append((a + b) / 2.0)
+    for key, f in flags.items():
+        edge = np.flatnonzero(f[1:] != f[:-1])
+        a, b, va = thetas[edge], thetas[edge + 1], f[edge]
+        wide = np.flatnonzero(b - a > 1e-6)
+        while wide.size:
+            mid = (a[wide] + b[wide]) / 2.0
+            same = flag_fn(mid, key) == va[wide]
+            a[wide[same]] = mid[same]
+            b[wide[~same]] = mid[~same]
+            wide = np.flatnonzero(b - a > 1e-6)
+        boundaries += ((a + b) / 2.0).tolist()
     boundaries.sort()
 
-    cells = [grid[0]] + boundaries + [grid[-1]]
+    cells = [(a, b) for a, b in zip([grid[0]] + boundaries, boundaries + [grid[-1]])
+             if b - a >= 1e-9]
+    mids = np.array([(a + b) / 2.0 for a, b in cells])
+    in_gap = gap({key: flag_fn(mids, key) for key in keys})
     regions = []
-    for a, b in zip(cells, cells[1:]):
-        if b - a < 1e-9:
-            continue
-        if gap(flag_fn((a + b) / 2.0, keys)):
+    for (a, b), inside in zip(cells, in_gap):
+        if inside:
             if regions and abs(regions[-1][1] - a) < 1e-9:
                 regions[-1] = (regions[-1][0], b)
             else:

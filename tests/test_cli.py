@@ -10,6 +10,7 @@ from antimark.cli import main
 from antimark.ensembles import nl1, parse_ensemble
 from antimark.exclusion import verify_no_witness
 from antimark.locc import LoccProtocol, nl1_identification_povms, serialize_protocol
+from antimark.lsam import sweep_theta
 
 
 @pytest.fixture(autouse=True)
@@ -199,6 +200,17 @@ def test_sweep_nl2_json_boundaries(capsys):
     edge = math.acos(1.0 / math.sqrt(3.0))
     for target in (math.pi / 4.0, edge, math.pi - edge, 3.0 * math.pi / 4.0):
         assert min(abs(b - target) for b in doc["boundaries"]) <= 1e-6, target
+    res = sweep_theta("nl2", [float(t) for t in np.linspace(0.1, 3.0, 60)])
+    assert doc["boundaries"] == res.boundaries
+    assert doc["regions"] == [list(r) for r in res.regions]
+
+
+def test_sweep_nl2_runs_next_to_the_open_domain_edge(capsys):
+    code, out = run(capsys, "sweep", "--family", "nl2", "--min", "1e-12",
+                    "--max", "0.5", "--steps", "3", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert [(pt["global"], pt["local"]) for pt in doc["points"]][0] == (False, False)
 
 
 def test_sweep_usage_errors(capsys):

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from antimark import exclusion, qcore
@@ -207,7 +207,7 @@ def catalog_certificate(name):
     return e, cert
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(name=st.sampled_from(["trine3", "sic4", "bell4", "bennett9", "duan4", "pbr4",
                              "duan4-rotated"]),
        seed=st.integers(0, 2 ** 32 - 1))
@@ -376,7 +376,7 @@ def test_exclusion_basis_is_orthonormal_and_excludes(ys):
     assert_exclusion_basis(ys)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_exclusion_basis_under_unitaries_phases_and_relabelling(seed):
     rng = np.random.default_rng(seed)
@@ -1037,9 +1037,10 @@ def test_core_witness_bounds_every_compression():
     assert _support_feasible([[s] for s in e.states], 3, tol=1e-9) is None
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20, deadline=None, derandomize=True)
 @given(i=st.sampled_from(NO_QUARTETS), seed=st.integers(0, 2 ** 32 - 1),
        embed=st.booleans())
+@example(i=86, seed=435, embed=True)
 def test_witness_no_is_invariant_under_unitaries_phases_relabelling_and_embedding(
         i, seed, embed):
     e = quartet(i)

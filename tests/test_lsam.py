@@ -1,6 +1,7 @@
 """Sequence tasks: scaling, verdicts, lifted operators, tilted measurements."""
 
 import dataclasses
+import json
 import math
 from collections import Counter
 from itertools import permutations
@@ -349,6 +350,11 @@ def reference_nl2_flags(theta, keys):
     return flags
 
 
+def reference_nl2_flag(thetas, key):
+    """The reference at each tilt, in the array signature of the sweep's flags."""
+    return np.array([reference_nl2_flags(t, (key,))[key] for t in thetas], dtype=bool)
+
+
 @pytest.mark.parametrize("grid", [
     [float(t) for t in np.linspace(0.1, 3.0, 60)],
     [k * math.pi / 400.0 for k in range(1, 400)],
@@ -356,12 +362,52 @@ def reference_nl2_flags(theta, keys):
 def test_sweep_nl2_matches_the_full_flag_evaluation(grid, monkeypatch):
     fast = sweep_theta("nl2", grid)
     entry = lsam._FAMILIES["nl2"]
-    monkeypatch.setitem(lsam._FAMILIES, "nl2", (reference_nl2_flags,) + entry[1:])
+    monkeypatch.setitem(lsam._FAMILIES, "nl2", (reference_nl2_flag,) + entry[1:])
     slow = sweep_theta("nl2", grid)
     assert [(p.theta, p.flags) for p in fast.points] == \
         [(p.theta, p.flags) for p in slow.points]
     assert fast.boundaries == slow.boundaries
     assert fast.regions == slow.regions
+
+
+def test_nl2_array_flags_match_the_reference_tilt_by_tilt():
+    thetas = np.linspace(1e-6, math.pi - 1e-6, 2001)
+    slow = [reference_nl2_flags(t, ("global", "local")) for t in thetas]
+    for key in ("global", "local"):
+        fast = lsam._nl2_flag(thetas, key)
+        assert fast.tolist() == [f[key] for f in slow], key
+
+
+def test_theta4_array_flag_matches_the_window_tilt_by_tilt():
+    thetas = np.linspace(1e-6, math.pi / 2.0 - 1e-6, 2001)
+    fast = lsam._theta4_flag(thetas, "closed_form")
+    assert fast.tolist() == [abs(math.cos(2.0 * t)) <= lsam.THETA_WINDOW for t in thetas]
+
+
+@pytest.mark.parametrize("grid", [[1e-12, 0.5], [0.5, math.pi - 1e-12]],
+                         ids=["near-zero", "near-pi"])
+def test_sweep_nl2_reads_a_collapsed_local_part_as_no(grid):
+    """At a tilt within 1e-9 of 0 or pi every sequence ket of a party is
+    the same up to phase, so the local part is not local (nor is the triple
+    globally antidistinguishable); the sweep still runs."""
+    res = sweep_theta("nl2", grid)
+    assert [p.flags for p in res.points] == [{"global": False, "local": False}] * 2
+    assert res.boundaries == []
+    assert res.regions == []
+
+
+@pytest.mark.parametrize("family, grid", [
+    ("nl2", [float(t) for t in np.linspace(0.1, 3.0, 60)]),
+    ("theta4", [0.45 + 0.05 * k for k in range(13)]),
+])
+def test_sweep_result_holds_plain_python_values(family, grid):
+    res = sweep_theta(family, grid)
+    assert res.boundaries and res.regions
+    assert all(type(v) is bool for p in res.points for v in p.flags.values())
+    assert all(type(p.theta) is float for p in res.points)
+    assert all(type(b) is float for b in res.boundaries)
+    assert all(type(x) is float for r in res.regions for x in r)
+    json.dumps(dataclasses.asdict(res))
 
 
 def test_sweep_validates_input():
