@@ -1,0 +1,8 @@
+"""``python -m antimark``: the command line of ``antimark.cli``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -132,9 +132,16 @@ def _load_ensemble(args):
         if missing:
             raise _UsageError(f"{args.ensemble} needs --param "
                               + " ".join(f"{q}=..." for q in missing))
+        unknown = [q for q in params if q not in entry["params"]]
+        if unknown:
+            raise _UsageError(f"{args.ensemble} takes no parameter "
+                              + ", ".join(repr(q) for q in unknown))
         return build_catalog(args.ensemble, **params)
     if not os.path.exists(args.ensemble):
         raise DataError(f"{args.ensemble!r} is neither a catalog name nor a file")
+    if params:
+        raise _UsageError("an ensemble file takes no parameter "
+                          + ", ".join(repr(q) for q in params))
     with open(args.ensemble, encoding="utf-8") as fh:
         return parse_ensemble(fh.read())
 
@@ -180,7 +187,13 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
+def _check_seed(args) -> None:
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be at least 0, got {args.seed}")
+
+
 def _cmd_check_antidist(args) -> int:
+    _check_seed(args)
     e = _load_ensemble(args)
     tol = _tolerance(args)
     start = time.perf_counter()
@@ -222,7 +235,10 @@ def _cmd_check_antidist(args) -> int:
 
 
 def _cmd_check_lsam(args) -> int:
-    if args.m != 1:
+    _check_seed(args)
+    if args.m < 1:
+        raise _UsageError("--m must be at least 1")
+    if args.m > 1:
         raise _UsageError("m > 1 has no criterion; verify an explicit protocol "
                           "with verify-protocol instead")
     e = _load_ensemble(args)

@@ -241,19 +241,22 @@ def caves_criterion(states, boundary_tol: float = BOUNDARY_TOL) -> CavesReport:
     return CavesReport(x12, x13, x23, total, lhs, rhs, sum_ok, quartic_ok, boundary_tol)
 
 
-def _triple_screen(states, boundary_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _triple_screen(states, boundary_tol: float
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every index triple of the states, in ``combinations`` order, as a
-    (C(k,3), 3) array, and which of them pass the criterion: one Gram matrix
-    of squared overlaps and ``_caves_inequalities`` on its entries, the
-    formula ``caves_criterion`` applies to each triple's three overlaps."""
+    (C(k,3), 3) array, which of them pass the criterion, and their margins
+    (1 - overlap sum, quartic lhs - rhs) as a (C(k,3), 2) array: one Gram
+    matrix of squared overlaps and ``_caves_inequalities`` on its entries,
+    the formula ``caves_criterion`` applies to each triple's three overlaps."""
     s = np.stack([_ket(v) for v in states])
     x = np.abs(s.conj() @ s.T) ** 2
     k = len(s)
     idx = np.fromiter(chain.from_iterable(combinations(range(k), 3)),
                       dtype=np.intp).reshape(-1, 3)
     a, b, c = idx.T
-    *_, sum_ok, quartic_ok = _caves_inequalities(x[a, b], x[a, c], x[b, c], boundary_tol)
-    return idx, sum_ok & quartic_ok
+    total, lhs, rhs, sum_ok, quartic_ok = _caves_inequalities(x[a, b], x[a, c], x[b, c],
+                                                              boundary_tol)
+    return idx, sum_ok & quartic_ok, np.column_stack([1.0 - total, lhs - rhs])
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +383,8 @@ def compose_union(e: Ensemble, parts, tol: float = DEFAULT_TOL) -> Povm:
     cover every state.  Each sub-measurement is re-verified on its restricted
     ensemble, then ``_union`` scales them by 1/len(parts) and concatenates
     them with labels kept, so the result passes verify_strong on the full
-    ensemble by construction.  ``decide_antidist`` calls ``_union`` directly
-    on the triple measurements it has just certified.
+    ensemble by construction.  ``decide_antidist``'s triple cover assembles
+    its union with ``_union`` too, and checks that union once, as a whole.
     """
     parts = list(parts)
     if not parts:
@@ -396,15 +399,16 @@ def compose_union(e: Ensemble, parts, tol: float = DEFAULT_TOL) -> Povm:
         rep = verify_strong(restrict(e, labs), sub, tol=tol)
         if not rep.passed:
             raise ValueError(f"subset {list(labs)} fails verification: {rep.failures[:1]}")
-    return _union(e, parts)
+    return _union(e, [(sub.labels, sub.elements) for _, sub in parts])
 
 
 def _union(e: Ensemble, parts) -> Povm:
-    """The verified sub-measurements of ``parts``, each scaled by
-    1/len(parts), as one labeled measurement on the ensemble's layout."""
+    """The sub-measurements of ``parts``, (labels, elements) pairs, each
+    scaled by 1/len(parts), as one labeled measurement on the ensemble's
+    layout."""
     k = len(parts)
-    elements = [mat / k for _, sub in parts for mat in sub.elements]
-    labels = [lab for _, sub in parts for lab in sub.labels]
+    elements = [mat / k for _, els in parts for mat in els]
+    labels = [lab for labs, _ in parts for lab in labs]
     return Povm(e.layout, elements, labels, name=f"union of {k} subsets")
 
 
@@ -785,25 +789,28 @@ def _pair_verdict(e: Ensemble, tol: float) -> Verdict:
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Bilinear cross product on C^3, column by column when b is 3 x k:
-    conj(a x b) is orthogonal to a and b, and has unit norm when a and b are
-    orthonormal."""
-    return np.array([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
+    """Bilinear cross product on C^3 over the last axis, broadcast over the
+    others: conj(a x b) is orthogonal to a and b, and has unit norm when a
+    and b are orthonormal."""
+    return np.stack([a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
+                     a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
+                     a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]], axis=-1)
 
 
 def _qubit_from_bloch(n: np.ndarray) -> np.ndarray:
-    """A unit ket a in C^2 with a a^dag = (I + n . sigma) / 2, from whichever
-    of the two equivalent forms is away from its pole."""
-    a = (np.array([1.0 + n[2], n[0] + 1j * n[1]]) if n[2] >= 0.0
-         else np.array([n[0] - 1j * n[1], 1.0 - n[2]]))
-    return a / np.linalg.norm(a)
+    """Unit kets a in C^2 with a a^dag = (I + n . sigma) / 2, one per unit
+    Bloch vector on the last axis of n, each from whichever of the two
+    equivalent forms is away from its pole."""
+    x, y, z = n[..., 0], n[..., 1], n[..., 2]
+    a = np.where((z >= 0.0)[..., None], np.stack([1.0 + z, x + 1j * y], axis=-1),
+                 np.stack([x - 1j * y, 1.0 - z], axis=-1))
+    return a / np.linalg.norm(a, axis=-1, keepdims=True)
 
 
-def _triple_basis(ys: list[np.ndarray]) -> np.ndarray:
-    """Orthonormal basis f1, f2, f3 of C^3 (the rows) with f_j orthogonal to
-    y_j, for three unit kets in C^3 that pass the criterion.
+def _triple_basis(ys: np.ndarray) -> np.ndarray:
+    """Orthonormal bases f1, f2, f3 of C^3 (the rows) with f_j orthogonal to
+    y_j, for unit kets y1, y2, y3 in C^3 (the rows of ys) that pass the
+    criterion; ys may be a (..., 3, 3) stack of triples, solved all at once.
 
     With f1 orthogonal to y1, f2 = conj(f1 x y2) / norm and f3 = conj(f1 x f2)
     are orthonormal, f2 is orthogonal to y2, and f3 is orthogonal to y3
@@ -812,39 +819,95 @@ def _triple_basis(ys: list[np.ndarray]) -> np.ndarray:
     orthonormal basis of y1's complement, q = m0 + m . n is affine in the
     Bloch vector n of a, so its real and imaginary parts are two planes in
     n: f1 lies where their line (or, for parallel planes, their common
-    plane) meets the unit sphere.  On the quartic boundary the line only touches the sphere, and rounding
-    can leave it just outside; then the unit n with the least residual on
-    the two planes is taken, with the Lagrange multiplier of the secular
-    equation sum_i (s_i^2 c_i / (s_i^2 + lam))^2 = 1 found by Newton steps
-    (s_i, c_i the singular values and coordinates of the line's nearest
-    point), which shrinks the coordinate of the weaker plane first.  Of the
-    two points the one with the larger |f1 x y2| is kept: when y2 is
-    orthogonal to y1 the other is f1 = y2, where f2 is undefined."""
-    y1, y2, y3 = ys
-    p = _orthocomplement([y1], 3)
-    m = -_cross(y2, p).conj().T @ _cross(y3, p)
-    m0 = (m[0, 0] + m[1, 1]) / 2.0
-    mv = np.array([(m[0, 1] + m[1, 0]) / 2.0, 0.5j * (m[0, 1] - m[1, 0]),
-                   (m[0, 0] - m[1, 1]) / 2.0])
-    u, s, vt = np.linalg.svd(np.array([mv.real, mv.imag]))
-    rank = int(np.sum(s > 1e-12 * max(s[0], 1.0)))
-    w = s[:rank] ** 2
-    coef = (u[:, :rank].T @ -np.array([m0.real, m0.imag])) / s[:rank]
-    x, lam = coef, 0.0
+    plane) meets the unit sphere.  On the quartic boundary the line only
+    touches the sphere, and rounding can leave it just outside; then the
+    unit n with the least residual on the two planes is taken, with the
+    Lagrange multiplier of the secular equation
+    sum_i (s_i^2 c_i / (s_i^2 + lam))^2 = 1 found by Newton steps (s_i, c_i
+    the singular values and coordinates of the line's nearest point), which
+    shrinks the coordinate of the weaker plane first; each triple takes its
+    own steps and stops at its own root.  Of the two points the one with the
+    larger |f1 x y2| is kept: when y2 is orthogonal to y1 the other is
+    f1 = y2, where f2 is undefined."""
+    ys = np.asarray(ys)
+    y1, y2, y3 = ys[..., 0, :], ys[..., 1, :], ys[..., 2, :]
+    p = np.linalg.svd(y1[..., :, None])[0][..., :, 1:]   # (..., 3, 2): y1's complement
+    pt = np.swapaxes(p, -1, -2)
+    m = -_cross(y2[..., None, :], pt).conj() @ np.swapaxes(_cross(y3[..., None, :], pt), -1, -2)
+    m0 = (m[..., 0, 0] + m[..., 1, 1]) / 2.0
+    mv = np.stack([(m[..., 0, 1] + m[..., 1, 0]) / 2.0, 0.5j * (m[..., 0, 1] - m[..., 1, 0]),
+                   (m[..., 0, 0] - m[..., 1, 1]) / 2.0], axis=-1)
+    u, s, vt = np.linalg.svd(np.stack([mv.real, mv.imag], axis=-2))
+    kept = s > 1e-12 * np.maximum(s[..., :1], 1.0)   # the planes' rank, as a mask
+    w = np.where(kept, s * s, 1.0)
+    rhs = np.einsum("...ij,...i->...j", u, -np.stack([m0.real, m0.imag], axis=-1))
+    coef = np.where(kept, rhs / np.where(kept, s, 1.0), 0.0)
+    x, lam = coef, np.zeros(s.shape[:-1])
     for _ in range(8):
-        excess = float(x @ x) - 1.0
-        if excess <= 0.0:
+        sq = np.sum(x * x, axis=-1)
+        outside = sq > 1.0
+        if not outside.any():
             break
-        lam += excess / (2.0 * float(np.sum(x * x / (w + lam))))
-        x = w * coef / (w + lam)
-    centre = vt[:rank].T @ x
-    reach = math.sqrt(max(1.0 - float(centre @ centre), 0.0))
-    roots = [p @ _qubit_from_bloch(n / np.linalg.norm(n))
-             for n in (centre + reach * vt[2], centre - reach * vt[2])]
-    f1 = max(roots, key=lambda f: np.linalg.norm(_cross(f, y2)))
+        slope = 2.0 * np.sum(x * x / (w + lam[..., None]), axis=-1)
+        lam = np.where(outside, lam + (sq - 1.0) / np.where(outside, slope, 1.0), lam)
+        x = np.where(outside[..., None], w * coef / (w + lam[..., None]), x)
+    centre = np.einsum("...r,...rk->...k", x, vt[..., :2, :])
+    reach = np.sqrt(np.maximum(1.0 - np.sum(centre * centre, axis=-1), 0.0))
+    ns = centre[..., None, :] + np.array([[1.0], [-1.0]]) * (reach[..., None, None]
+                                                             * vt[..., None, 2, :])
+    roots = _qubit_from_bloch(ns / np.linalg.norm(ns, axis=-1, keepdims=True)) @ pt
+    along = np.linalg.norm(_cross(roots, y2[..., None, :]), axis=-1)
+    f1 = np.where((along[..., 1] > along[..., 0])[..., None], roots[..., 1, :], roots[..., 0, :])
     g = _cross(f1, y2).conj()
-    f2 = g / np.linalg.norm(g)
-    return np.array([f1, f2, _cross(f1, f2).conj()])
+    f2 = g / np.linalg.norm(g, axis=-1, keepdims=True)
+    return np.stack([f1, f2, _cross(f1, f2).conj()], axis=-2)
+
+
+def _triple_elements(kets: np.ndarray, triples: np.ndarray, tol: float
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The exclusion measurements of the index triples ``triples`` (n, 3) of
+    the unit kets ``kets`` (k, d), all built in one pass, for triples that
+    pass the criterion at boundary tolerance tol: an (n, 3, d, d) stack
+    whose j-th element of a triple excludes its j-th ket, and which triples
+    were built.
+
+    Each triple is solved inside the span of its kets (one stacked SVD).  A
+    three-dimensional span takes the projectors onto the closed-form bases
+    of one ``_triple_basis`` call over the whole stack (Caves, Fuchs and
+    Schack, PRA 66, 062111, 2002); a two-dimensional one goes through the
+    single-qubit weight program, one triple at a time, and is not built when
+    that program finds no completion.  The lift I/3 + B (S - I/3) B^dag of
+    the span-coordinate elements S, B the span basis, splits the span's
+    orthogonal complement evenly across the three elements.  A triple whose
+    elements come out non-finite is not built either.  Nothing is verified
+    here: the callers check what they return."""
+    stack = kets[triples]
+    n, _, d = stack.shape
+    _, svals, vh = np.linalg.svd(stack, full_matrices=False)
+    full = np.sum(svals > 1e-9, axis=-1) == 3
+    ys = stack @ np.swapaxes(vh.conj(), -1, -2)   # the kets in span coordinates
+    small = np.zeros((n, 3, 3, 3), dtype=np.complex128)
+    built = np.ones(n, dtype=bool)
+    if full.any():
+        f = _triple_basis(ys[full] / np.linalg.norm(ys[full], axis=-1, keepdims=True))
+        small[full] = f[..., :, None] * f.conj()[..., None, :]
+    eye2 = np.eye(2)
+    for t in np.flatnonzero(~full):
+        y2 = ys[t, :, :2] / np.linalg.norm(ys[t, :, :2], axis=-1, keepdims=True)
+        try:
+            status, weights, _ = _min_weight_completion([density(y) for y in y2])
+        except RuntimeError:   # a program that ends neither optimal nor infeasible
+            status = "failed"
+        if status != "optimal" or min(weights) <= -tol:
+            built[t] = False
+            continue
+        small[t, :, :2, :2] = [max(wt, 0.0) * (eye2 - density(y)) for wt, y in zip(weights, y2)]
+        small[t, :, 2, 2] = 1.0 / 3.0   # the third basis row lies outside the span
+    r = vh.shape[-2]   # 3, or 2 for qubit kets
+    lifted = (np.swapaxes(vh, -1, -2)[:, None] @ (small[..., :r, :r] - np.eye(r) / 3.0)
+              @ vh.conj()[:, None])
+    els = lifted + np.eye(d) / 3.0
+    return els, built & np.isfinite(els).all(axis=(1, 2, 3))
 
 
 def povm_from_caves_triple(states, labels=None, layout: PartyLayout | None = None,
@@ -852,47 +915,29 @@ def povm_from_caves_triple(states, labels=None, layout: PartyLayout | None = Non
     """Certified three-outcome exclusion measurement for a triple that passes
     the three-state criterion at boundary tolerance tol.
 
-    The problem is solved inside the span of the states: a two-dimensional
-    span reduces to the single-qubit weight program; in a three-dimensional
-    one the elements are the projectors onto the closed-form orthonormal
-    basis of ``_triple_basis``, each orthogonal to its state (Caves, Fuchs
-    and Schack, PRA 66, 062111, 2002).  The orthogonal complement of the
-    span is split evenly across the elements; the result must pass
-    verify_strong at max(tol, 1e-10), and a RuntimeError reports a weight
-    program that finds no completion or a certificate that fails.  A triple
-    that fails the criterion, or holds a ket whose norm is not 1 within
-    1e-9, raises ValueError.
+    The one-triple case of ``_triple_elements``, the builder the triple cover
+    of ``decide_antidist`` runs on all its triples at once: a
+    two-dimensional span reduces to the single-qubit weight program, a
+    three-dimensional one takes the projectors onto the closed-form basis of
+    ``_triple_basis``, each orthogonal to its state (Caves, Fuchs and Schack,
+    PRA 66, 062111, 2002), and the orthogonal complement of the span is
+    split evenly across the elements.  The result must pass verify_strong at
+    max(tol, 1e-10), and a RuntimeError reports a weight program that finds
+    no completion or a certificate that fails.  A triple that fails the
+    criterion, or holds a ket whose norm is not 1 within 1e-9, raises
+    ValueError.
     """
     vecs = [_ket(s) for s in states]
     rep = caves_criterion(vecs, boundary_tol=tol)
     if not rep.passed:
         raise ValueError("the triple fails the three-state criterion")
     labels = [f"s{i}" for i in range(3)] if labels is None else list(labels)
-    d = vecs[0].size
     if layout is None:
-        layout = PartyLayout((d,))
-
-    stack = np.stack(vecs)
-    _, svals, vh = np.linalg.svd(stack)
-    r = int(np.sum(svals > 1e-9))
-    basis = vh[:r].T  # d x r, orthonormal columns
-    ys = [basis.conj().T @ v for v in vecs]
-    ys = [y / np.linalg.norm(y) for y in ys]
-
-    small: list[np.ndarray] | None = None
-    if r == 2:
-        status, weights, _ = _min_weight_completion([density(y) for y in ys])
-        if status == "optimal" and min(weights) > -tol:
-            small = [max(w, 0.0) * (np.eye(2) - density(y))
-                     for w, y in zip(weights, ys)]
-    else:
-        small = [density(f) for f in _triple_basis(ys)]
-    if small is None:
+        layout = PartyLayout((vecs[0].size,))
+    els, built = _triple_elements(np.stack(vecs), np.array([[0, 1, 2]]), tol)
+    if not built[0]:
         raise RuntimeError("no exclusion measurement found inside the span")
-
-    rest = (np.eye(d) - basis @ basis.conj().T) / 3.0
-    return _accepted(Ensemble("triple", layout, labels, vecs),
-                     [basis @ f @ basis.conj().T + rest for f in small],
+    return _accepted(Ensemble("triple", layout, labels, vecs), list(els[0]),
                      "triple exclusion", tol)
 
 
@@ -941,32 +986,64 @@ def _as_ensemble(obj) -> Ensemble:
                     [f"s{i}" for i in range(len(vecs))], vecs)
 
 
-def _triple_cover(e: Ensemble, tol: float
-                  ) -> list[tuple[tuple[int, int, int], Povm]] | None:
-    """Greedy cover of the ensemble by passing triples, each with its
-    certified measurement from ``povm_from_caves_triple``, or None, by the
-    choice rule of route (4) of ``decide_antidist``.  No measurement is built
-    once the live triples no longer reach every state."""
-    idx, alive = _triple_screen(e.states, tol)
-    member = np.zeros((len(idx), e.n_states), dtype=bool)
-    member[np.arange(len(idx))[:, None], idx] = True
-    covered = np.zeros(e.n_states, dtype=bool)
-    cover = []
-    while not covered.all() and member[alive].any(axis=0).all():
+def _cover_plan(member: np.ndarray, alive: np.ndarray) -> list[int] | None:
+    """The greedy choice of route (4) of ``decide_antidist``, on triple
+    indices only: while a state is uncovered, the smallest uncovered state
+    takes, of the live triples that hold it, the one covering most uncovered
+    states (ties in enumeration order).  None when the live triples do not
+    reach every state."""
+    if not member[alive].any(axis=0).all():
+        return None
+    covered = np.zeros(member.shape[1], dtype=bool)
+    plan = []
+    while not covered.all():
         u = int(np.argmin(covered))
         fresh = member[:, ~covered].sum(axis=1)
         t = int(np.argmax(np.where(alive & member[:, u], fresh, -1)))
-        tri = tuple(idx[t].tolist())
-        try:
-            sub = povm_from_caves_triple(
-                [e.states[i] for i in tri], [e.labels[i] for i in tri],
-                layout=e.layout, tol=tol)
-        except (ValueError, RuntimeError):
-            alive[t] = False
+        plan.append(t)
+        covered |= member[t]
+    return plan
+
+
+def _triple_cover(e: Ensemble, tol: float
+                  ) -> tuple[list[tuple[int, int, int]], Povm, list[float]] | None:
+    """Greedy cover of the ensemble by passing triples: the chosen index
+    triples, their union measurement and the smallest of their criterion
+    margins (overlap sum, quartic), or None.
+
+    Plan, build, accept: ``_cover_plan`` chooses the triples, on indices
+    only, so nothing is built when the live triples cannot reach every
+    state; ``_triple_elements`` builds all the chosen ones in one pass; the
+    union, each triple scaled by 1/n with labels kept, is accepted once it
+    passes verify_strong on the whole ensemble at max(tol, 1e-10).  A triple
+    that is not built is dropped and the plan is redone.  A union that fails
+    has each of its triples checked on its own triple; the failing ones are
+    dropped and the plan is redone, and when none fails alone there is no
+    cover.  The chosen triples are thus those of a cover that builds and
+    checks one triple at a time whenever every triple passes its own check;
+    a triple that would fail alone is kept when the union passes."""
+    idx, alive, margins = _triple_screen(e.states, tol)
+    member = np.zeros((len(idx), e.n_states), dtype=bool)
+    member[np.arange(len(idx))[:, None], idx] = True
+    kets = np.stack(e.states)
+    check_tol = max(tol, 1e-10)
+    while (plan := _cover_plan(member, alive)) is not None:
+        els, built = _triple_elements(kets, idx[plan], tol)
+        if not built.all():
+            alive[np.asarray(plan)[~built]] = False
             continue
-        cover.append((tri, sub))
-        covered[idx[t]] = True
-    return cover if covered.all() else None
+        parts = [([e.labels[i] for i in idx[t]], sub) for t, sub in zip(plan, els)]
+        union = _union(e, parts)
+        if verify_strong(e, union, tol=check_tol).passed:
+            return ([tuple(idx[t].tolist()) for t in plan], union,
+                    margins[plan].min(axis=0).tolist())
+        failing = [t for t, (labs, sub) in zip(plan, parts)
+                   if not verify_strong(restrict(e, labs), Povm(e.layout, list(sub), labs),
+                                        tol=check_tol).passed]
+        if not failing:
+            return None
+        alive[failing] = False
+    return None
 
 
 def decide_antidist(ensemble, tol: float = DEFAULT_TOL, seed: int = 0,
@@ -979,12 +1056,13 @@ def decide_antidist(ensemble, tol: float = DEFAULT_TOL, seed: int = 0,
     closed-form witness (method "pair"); (4) four or more states, a greedy
     cover by passing triples, screened all at once from one Gram matrix: the
     smallest uncovered state takes, of the passing triples that hold it, the
-    one covering most uncovered states (ties in enumeration order); a triple
-    whose measurement cannot be certified is dropped for the next, so a cover
-    is found whenever the certified triples admit one; the triple
-    measurements, closed-form and each checked once by
-    ``povm_from_caves_triple``, are assembled as ``compose_union``
-    assembles, and the margins come from ``caves_criterion`` on the chosen
+    one covering most uncovered states (ties in enumeration order); the
+    chosen triples' closed-form measurements are built in one batched pass
+    and assembled as ``compose_union`` assembles, and that union is the
+    certificate, accepted by one verify_strong call on the whole ensemble; a
+    triple that cannot be built, or that fails its own check when the union
+    fails, is dropped and the cover is planned again (``_triple_cover``),
+    and the margins come from the screen's Gram matrix on the chosen
     triples.  Routes (1) and (4) apply the criterion at boundary tolerance
     tol and never run the feasibility core; (5) one call of the
     feasibility core, which ends at a measurement (YES, method "search",
@@ -1021,14 +1099,10 @@ def decide_antidist(ensemble, tol: float = DEFAULT_TOL, seed: int = 0,
     if k >= 4:
         cover = _triple_cover(e, tol)
         if cover is not None:
-            union = _union(e, [([e.labels[i] for i in t], sub) for t, sub in cover])
-            reports = [caves_criterion([e.states[i] for i in t], boundary_tol=tol)
-                       for t, _ in cover]
-            margins = [min(1.0 - r.total for r in reports),
-                       min(r.quartic_lhs - r.quartic_rhs for r in reports)]
+            triples, union, margins = cover
             return Verdict("YES", "triple_cover", margins=margins, certificate=union,
-                           triples=[tuple(e.labels[i] for i in t) for t, _ in cover],
-                           detail=f"{len(cover)} certified triples")
+                           triples=[tuple(e.labels[i] for i in t) for t in triples],
+                           detail=f"{len(triples)} certified triples")
 
     check_tol = max(tol, SEARCH_TOL)
     found = _search(e, restarts, iters, seed, check_tol)

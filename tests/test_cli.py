@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +24,11 @@ def clean_env(monkeypatch):
 def run(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+def run_err(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().err
 
 
 def test_catalog_lists_builtins(capsys):
@@ -114,8 +122,31 @@ def test_check_lsam_on_an_entangled_parent_is_a_data_error(capsys):
 
 
 def test_check_lsam_multi_claim_is_a_usage_error(capsys):
-    assert run(capsys, "check-lsam", "--ensemble", "su3", "--n", "2",
-               "--m", "2")[0] == 64
+    code, err = run_err(capsys, "check-lsam", "--ensemble", "su3", "--n", "2", "--m", "2")
+    assert code == 64
+    assert "m > 1 has no criterion" in err
+
+
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_check_lsam_claims_below_one_are_a_usage_error(capsys, m):
+    code, err = run_err(capsys, "check-lsam", "--ensemble", "su3", "--n", "2", "--m", m)
+    assert code == 64
+    assert "--m must be at least 1" in err and "m > 1" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-antidist", "--ensemble", "pbr4", "--seed", "-1"],
+    ["check-lsam", "--ensemble", "su3", "--n", "2", "--seed", "-3"],
+], ids=["check-antidist", "check-lsam"])
+def test_negative_seed_is_a_usage_error_before_any_work(capsys, monkeypatch, argv):
+    def no_work(*args, **kw):
+        raise AssertionError("a decision ran")
+
+    monkeypatch.setattr("antimark.cli.decide_antidist", no_work)
+    monkeypatch.setattr("antimark.cli.check_lsam", no_work)
+    code, err = run_err(capsys, *argv)
+    assert code == 64
+    assert "--seed must be at least 0" in err
 
 
 def test_param_plumbing(capsys):
@@ -127,6 +158,34 @@ def test_param_plumbing(capsys):
                "--param", "theta")[0] == 64
     assert run(capsys, "check-antidist", "--ensemble", "theta4",
                "--param", "theta=abc")[0] == 64
+    for argv, name in ((["--ensemble", "duan4", "--param", "theta=1"], "theta"),
+                       (["--ensemble", "theta4", "--param", "theta=0.9",
+                         "--param", "phi=1"], "phi")):
+        code, err = run_err(capsys, "check-antidist", *argv)
+        assert code == 64
+        assert repr(name) in err
+
+
+def test_param_on_an_ensemble_file_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"name": "pair", "dims": [2], "states": [
+        {"label": "a", "amplitudes": [[1, 0], [0, 0]]},
+        {"label": "b", "amplitudes": [[0, 0], [1, 0]]}]}))
+    assert run(capsys, "check-antidist", "--ensemble", str(path))[0] == 0
+    code, err = run_err(capsys, "check-antidist", "--ensemble", str(path),
+                        "--param", "theta=1")
+    assert code == 64
+    assert "'theta'" in err
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-m", "antimark", "catalog"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "trine3" in done.stdout
 
 
 def test_unknown_ensemble_is_a_data_error(capsys):

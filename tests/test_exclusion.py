@@ -17,7 +17,8 @@ from antimark.exclusion import (Povm, _block_stacks, _factored_jacobian,
                                 _factored_residual, _hermitian_basis,
                                 _orthocomplement, _psd_project, _support_core,
                                 _support_feasible, _triple_basis,
-                                _triple_cover, _triple_screen, caves_criterion,
+                                _triple_cover, _triple_elements, _triple_screen,
+                                caves_criterion,
                                 compose_union, decide_antidist,
                                 exclusion_counts, povm_from_caves_triple,
                                 qubit_antidist_lp, search_exclusion_povm,
@@ -289,17 +290,22 @@ def test_rank_three_triples_on_the_quartic_boundary(states):
     assert verify_strong(e, v.certificate, tol=1e-9).passed
 
 
-def test_passing_haar_triples_all_end_yes():
+@lru_cache(maxsize=None)
+def passing_haar_triples():
     """The first 600 passing qutrit triples of a seeded Haar stream; the
     145th, 256th and 515th pass the quartic inequality by only 1e-4 to 1e-3,
     close enough to its boundary to stall an iterative solver."""
     rng = np.random.default_rng(0)
-    passing = 0
-    while passing < 600:
+    out = []
+    while len(out) < 600:
         states = [haar(3, rng) for _ in range(3)]
-        if not caves_criterion(states).passed:
-            continue
-        passing += 1
+        if caves_criterion(states).passed:
+            out.append(states)
+    return out
+
+
+def test_passing_haar_triples_all_end_yes():
+    for passing, states in enumerate(passing_haar_triples(), start=1):
         e = Ensemble("t", PartyLayout((3,)), ["s0", "s1", "s2"], states)
         v = decide_antidist(e)
         assert (v.decision, v.method) == ("YES", "caves"), passing
@@ -390,6 +396,25 @@ def test_exclusion_basis_under_unitaries_phases_and_relabelling(seed):
     assert_exclusion_basis([phases[k] * (u @ ys[k]) for k in rng.permutation(3)])
 
 
+def test_batched_triple_elements_match_the_one_triple_path():
+    """One mixed batch: the Haar stream, the quartic-boundary triples, the
+    orthogonal pairs and a rank-2 span (trine3 in C^3), each triple taking
+    its own number of secular Newton steps; every triple's elements are the
+    ones ``povm_from_caves_triple`` builds for it alone."""
+    triples = (passing_haar_triples()
+               + [boundary_gram_triple(0.39367781186581313, 0.5409037808457999,
+                                       3.1333575993144986),
+                  boundary_gram_triple(0.25, 0.25, 0.0)]
+               + orthogonal_pair_triples()
+               + [[np.append(v, 0.0) for v in trine3().states]])
+    kets = np.array([v for t in triples for v in t], dtype=np.complex128)
+    els, built = _triple_elements(kets, np.arange(len(kets)).reshape(-1, 3), 1e-9)
+    assert built.all()
+    for i, states in enumerate(triples):
+        alone = povm_from_caves_triple(states).elements
+        np.testing.assert_allclose(els[i], alone, rtol=0, atol=1e-12, err_msg=str(i))
+
+
 def test_triple_routes_never_run_the_feasibility_core(monkeypatch):
     calls = []
 
@@ -421,17 +446,16 @@ def test_compose_union_covers_all_states():
 
 
 def test_triple_cover_drops_a_triple_that_cannot_be_certified(monkeypatch):
-    """A triple whose measurement raises is dropped and the cover goes on with
-    the next option for the same state."""
+    """A triple whose measurement is not built is dropped and the cover goes
+    on with the next option for the same state."""
     e = duan4()
-    real = povm_from_caves_triple
 
-    def flaky(states, labels=None, **kw):
-        if list(labels) == ["D1", "D2", "D3"]:
-            raise RuntimeError("no exclusion measurement found inside the span")
-        return real(states, labels, **kw)
+    def flaky(kets, triples, tol):
+        els, built = real(kets, triples, tol)
+        return els, built & ~(triples == [0, 1, 2]).all(axis=1)
 
-    monkeypatch.setattr("antimark.exclusion.povm_from_caves_triple", flaky)
+    real = exclusion._triple_elements
+    monkeypatch.setattr("antimark.exclusion._triple_elements", flaky)
     v = decide_antidist(e)
     assert v.decision == "YES" and v.method == "triple_cover"
     assert ("D1", "D2", "D3") not in v.triples
@@ -499,16 +523,25 @@ def refusing_builder(states, labels=None, **kw):
     return None
 
 
-def assert_screen_and_cover_match(e, tol, build, monkeypatch):
-    idx, passed = _triple_screen(e.states, tol)
+def refusing_batch(kets, triples, tol):
+    """``refusing_builder`` as a stand-in for the batched ``_triple_elements``,
+    for ensembles labelled s0, s1, ...: the refused triples are not built."""
+    els, built = _triple_elements(kets, triples, tol)
+    return els, built & (triples.sum(axis=1) % 4 != 0)
+
+
+def assert_screen_and_cover_match(e, tol, build, batch, monkeypatch):
+    """``build`` stands for ``povm_from_caves_triple`` in the reference loop,
+    ``batch`` for ``_triple_elements`` in the cover."""
+    idx, passed, _ = _triple_screen(e.states, tol)
     assert [tuple(t) for t in idx.tolist()] == list(combinations(range(e.n_states), 3))
     expected = [caves_criterion([e.states[i] for i in t], boundary_tol=tol).passed
                 for t in idx.tolist()]
     assert passed.tolist() == expected, e.name
-    monkeypatch.setattr("antimark.exclusion.povm_from_caves_triple", build)
+    monkeypatch.setattr("antimark.exclusion._triple_elements", batch)
     found = _triple_cover(e, tol)
     old = loop_triple_cover(e, tol, build)
-    assert (None if found is None else [t for t, _ in found]) == old, e.name
+    assert (None if found is None else found[0]) == old, e.name
 
 
 def seeded_ensembles():
@@ -537,7 +570,7 @@ def seeded_ensembles():
 @pytest.mark.parametrize("tol", [1e-9, 1e-6])
 def test_screen_and_cover_match_the_loop_on_seeded_ensembles(tol, monkeypatch):
     for e in seeded_ensembles():
-        assert_screen_and_cover_match(e, tol, refusing_builder, monkeypatch)
+        assert_screen_and_cover_match(e, tol, refusing_builder, refusing_batch, monkeypatch)
 
 
 def test_screen_and_cover_match_the_loop_with_certified_triples(monkeypatch):
@@ -547,7 +580,8 @@ def test_screen_and_cover_match_the_loop_with_certified_triples(monkeypatch):
                   sequence_ensemble(pbr4(), 3)]
     ensembles += [quartet(i) for i in range(100)]
     for e in ensembles:
-        assert_screen_and_cover_match(e, 1e-9, povm_from_caves_triple, monkeypatch)
+        assert_screen_and_cover_match(e, 1e-9, povm_from_caves_triple, _triple_elements,
+                                      monkeypatch)
 
 
 def test_triple_cover_checks_each_triple_certificate_once(monkeypatch):
@@ -562,8 +596,62 @@ def test_triple_cover_checks_each_triple_certificate_once(monkeypatch):
     v = decide_antidist(e)
     assert (v.decision, v.method) == ("YES", "triple_cover")
     assert len(v.triples) == 8
-    assert calls == ["triple"] * 8
+    assert calls == [e.name]
     assert verify_strong(e, v.certificate, tol=1e-8).passed
+
+
+def test_a_failing_union_drops_the_triple_that_fails_alone(monkeypatch):
+    """A stand-in builder hands back one planned triple with its elements
+    rotated, so the union fails; each planned triple is then checked alone,
+    the rotated one is dropped, and the cover is the loop's with a builder
+    that refuses that triple."""
+    e = sequence_ensemble(pbr4(), 2)
+    first, _, _ = _triple_cover(e, 1e-9)
+    bad = first[0]
+    real = exclusion._triple_elements
+
+    def rotating(kets, triples, tol):
+        els, built = real(kets, triples, tol)
+        hit = (triples == bad).all(axis=1)
+        els[hit] = els[hit][:, [1, 2, 0]]
+        return els, built
+
+    def refusing(states, labels=None, **kw):
+        if tuple(e.labels.index(lab) for lab in labels) == bad:
+            raise RuntimeError("refused")
+
+    checked = []
+
+    def counting(ens, povm, tol):
+        checked.append(ens.name)
+        return verify_strong(ens, povm, tol=tol)
+
+    monkeypatch.setattr("antimark.exclusion._triple_elements", rotating)
+    monkeypatch.setattr("antimark.exclusion.verify_strong", counting)
+    triples, union, _ = _triple_cover(e, 1e-9)
+    assert bad not in triples
+    assert triples == loop_triple_cover(e, 1e-9, refusing)
+    assert checked[0] == checked[-1] == e.name
+    assert len(checked) == len(first) + 2 and e.name not in checked[1:-1]
+    assert verify_strong(e, union, tol=1e-9).passed
+
+
+def test_triple_cover_margins_are_the_criterion_margins_of_the_chosen_triples():
+    ensembles = [duan4()] + [sequence_ensemble(p, 2) for p in (pbr4(), su3(), duan4(),
+                                                               theta4(0.9))]
+    ensembles += [sequence_ensemble(pbr4(), 3)] + seeded_ensembles()
+    covers = 0
+    for e in ensembles:
+        cover = _triple_cover(e, 1e-9)
+        if cover is None:
+            continue
+        covers += 1
+        triples, _, margins = cover
+        reps = [caves_criterion([e.states[i] for i in t]) for t in triples]
+        np.testing.assert_allclose(margins, [min(1.0 - r.total for r in reps),
+                                             min(r.quartic_lhs - r.quartic_rhs for r in reps)],
+                                   rtol=0, atol=1e-12, err_msg=e.name)
+    assert covers >= 10
 
 
 # ---------------------------------------------------------------------------

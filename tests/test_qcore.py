@@ -58,6 +58,32 @@ def test_hermitian_and_psd_checks():
     assert comp == pytest.approx(1.0) and mineig == 0.0
 
 
+def test_min_eigenvalue_takes_real_symmetric_stacks_to_the_real_solver(monkeypatch):
+    """A complex stack with a zero imaginary part gives the complex solver's
+    answer through the real one; a stack with any imaginary entry, however
+    small, stays on the complex solver."""
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(5, 6, 6))
+    real_sym = (a + a.transpose(0, 2, 1)).astype(np.complex128)
+    b = a + 1j * rng.normal(size=(5, 6, 6))
+    complex_herm = b + b.conj().transpose(0, 2, 1)
+    tiny = real_sym.copy()
+    tiny[0, 0, 1], tiny[0, 1, 0] = tiny[0, 0, 1] + 1e-300j, tiny[0, 1, 0] - 1e-300j
+    seen = []
+    solver = np.linalg.eigvalsh
+
+    def recording(mat):
+        seen.append(mat.dtype)
+        return solver(mat)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    for stack, dtype in ((real_sym, np.float64), (complex_herm, np.complex128),
+                         (tiny, np.complex128)):
+        seen.clear()
+        assert abs(min_eigenvalue(stack) - solver(stack)[:, 0].min()) <= 1e-12
+        assert seen == [dtype]
+
+
 def test_outcome_table_matches_trace():
     rng = np.random.default_rng(7)
     for d, k, n in ((2, 3, 4), (3, 5, 2), (6, 2, 7)):
