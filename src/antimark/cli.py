@@ -236,6 +236,8 @@ def _cmd_check_antidist(args) -> int:
 
 def _cmd_check_lsam(args) -> int:
     _check_seed(args)
+    if args.n < 1:
+        raise _UsageError("--n must be at least 1")
     if args.m < 1:
         raise _UsageError("--m must be at least 1")
     if args.m > 1:
@@ -312,6 +314,9 @@ def _cmd_verify_protocol(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.steps < 2:
         raise _UsageError("--steps must be at least 2")
+    for flag, value in (("--min", args.min), ("--max", args.max)):
+        if not math.isfinite(value):
+            raise _UsageError(f"{flag} must be a finite number, got {value!r}")
     if not args.min < args.max:
         raise _UsageError("--min must be below --max")
     grid = [float(t) for t in np.linspace(args.min, args.max, args.steps)]

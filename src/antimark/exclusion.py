@@ -426,16 +426,8 @@ def _orthocomplement(vectors: list[np.ndarray], dim: int) -> np.ndarray:
 
 WITNESS_EVERY = 10   # core steps between two looks at the displacement
 STALL_STEPS = 50     # steps without a 1 % gain after which a restart is polished
+POLISH_AT = 1e-3     # residual below which a restart's first idle look polishes
 GIVE_UP_STEPS = 400  # steps without a 1 % gain after which a restart ends
-
-
-def _support_feasible(groups: list[list[np.ndarray]], dim: int, tol: float,
-                      restarts: int = 3, iters: int = 4000, seed: int = 0
-                      ) -> list[np.ndarray] | None:
-    """The elements ``_support_core`` finds, or None when it finds none or
-    stops at a witness: the view of the callers that only build measurements."""
-    found = _support_core(groups, dim, tol, restarts, iters, seed)
-    return found if isinstance(found, list) else None
 
 
 def _support_core(groups: list[list[np.ndarray]], dim: int, tol: float,
@@ -462,13 +454,18 @@ def _core_answers(groups: list[list[np.ndarray]], dim: int, tol: float,
     but it can still crawl next to a feasible point whose blocks lose rank.
     Stops once the largest completeness deviation (real and imaginary parts)
     drops below tol, which callers set to a tenth of the tolerance they
-    verify at.  A restart that goes STALL_STEPS steps without a 1 % gain
-    stalls; ``_polish`` then runs Gauss-Newton on factored elements from the
-    stalled iterate, and its elements are yielded when they complete within
-    tol and every element on a non-empty support fires.  Otherwise the
-    restart runs on, so that the witness of an infeasible problem whose
-    residual flattens first is still found, and it ends after GIVE_UP_STEPS
-    steps without a 1 % gain; then the next restart runs.
+    verify at.  Next to a feasible point whose blocks lose rank the residual
+    falls only linearly, so the first witness look of a restart that finds
+    no witness while the residual is below POLISH_AT runs ``_polish`` on the
+    current iterate with every factor cut at the iterate's rank: the
+    eigenvalues above that residual.  A restart that goes STALL_STEPS steps
+    without a 1 % gain stalls and is polished once more, keeping every
+    column.  A polish's elements are yielded when they complete within tol
+    and every element on a non-empty support fires.  Otherwise the restart
+    runs on from its untouched iterate, so that the witness of an
+    infeasible problem whose residual flattens first is still found, and it
+    ends after GIVE_UP_STEPS steps without a 1 % gain; then the next
+    restart runs.
 
     On an infeasible problem the difference of two consecutive iterates
     tends to a fixed nonzero vector (Banjac, Goulart, Stellato and Boyd,
@@ -505,6 +502,7 @@ def _core_answers(groups: list[list[np.ndarray]], dim: int, tol: float,
         x = rng.normal(size=lin.shape[1])
         best = np.inf
         since_best = 0
+        early = True
         for it in range(1, iters + 1):
             y = _psd_project(x, stacks)
             res = float(np.max(np.abs(lin @ y - target)))
@@ -518,7 +516,7 @@ def _core_answers(groups: list[list[np.ndarray]], dim: int, tol: float,
             else:
                 since_best += 1
                 if since_best == STALL_STEPS:
-                    polished = _polish(y, stacks, supports, groups, dim, tol)
+                    polished = _polish(y, stacks, supports, groups, dim, tol, 0.0)
                     if polished is not None:
                         yield polished
                         return
@@ -530,6 +528,12 @@ def _core_answers(groups: list[list[np.ndarray]], dim: int, tol: float,
                 w = _displacement_witness(x - prev, pinv, supports, adjoints, dim, tol)
                 if w is not None:
                     yield w
+                elif early and res < POLISH_AT:
+                    early = False
+                    polished = _polish(y, stacks, supports, groups, dim, tol, res)
+                    if polished is not None:
+                        yield polished
+                        return
 
 
 def _displacement_witness(step: np.ndarray, pinv: np.ndarray, supports, adjoints,
@@ -556,28 +560,36 @@ def _displacement_witness(step: np.ndarray, pinv: np.ndarray, supports, adjoints
     return y if 1.0 - dim * max(top, 0.0) > tol else None
 
 
-POLISH_FLOOR = 1e-6    # least eigenvalue a stalled block keeps in its factor
+POLISH_FLOOR = 1e-6    # least eigenvalue a polished block keeps in its factor
 POLISH_STEPS = 20      # Gauss-Newton steps of one polish
 POLISH_HALVINGS = 20   # step halvings before a polish gives up
 
 
-def _polish(y: np.ndarray, stacks, supports, groups, dim: int, tol: float
-            ) -> list[np.ndarray] | None:
-    """Damped Gauss-Newton on factored elements from a stalled core iterate:
-    the full-dimension elements, or None.
+def _polish(y: np.ndarray, stacks, supports, groups, dim: int, tol: float,
+            cut: float) -> list[np.ndarray] | None:
+    """Damped Gauss-Newton on factored elements from a core iterate: the
+    full-dimension elements, or None.
 
     Each block M_j of y is factored as W_j = V_j sqrt(max(lambda, floor))
     from its eigendecomposition, so E_j = B_j W_j W_j^dag B_j^dag excludes
     its group and is positive by construction (Burer and Monteiro, Math.
     Program. 95, 329, 2003); the floor keeps every column of W_j in play, as
-    a zero column has a zero Jacobian.  Minimum-norm Gauss-Newton steps with
-    a halving line search then solve sum_j E_j = I.  The elements count only
-    when the completeness deviation is below tol, by the core's measure, and
-    every element with a non-empty support fires on the group kets by
-    ``qcore.fires`` at 10 tol, the tolerance callers verify at."""
+    a zero column has a zero Jacobian.  A positive ``cut`` first keeps, in
+    each block-size stack, the top r eigenvectors, with r the most
+    eigenvalues above ``cut`` of any block in the stack (at least 1): near a
+    rank-deficient point the factor then has the point's rank, and the
+    steps converge fast.  A cut of 0 keeps every column.  Minimum-norm
+    Gauss-Newton steps with a halving line search then solve sum_j E_j = I.
+    The elements count only when the completeness deviation is below tol, by
+    the core's measure, and every element with a non-empty support fires on
+    the group kets by ``qcore.fires`` at 10 tol, the tolerance callers
+    verify at."""
     ws = []
     for _, idx, basis, _ in stacks:
         lam, v = np.linalg.eigh(np.einsum("nk,kab->nab", y[idx], basis))
+        if cut:
+            r = max(int((lam > cut).sum(axis=1).max()), 1)
+            lam, v = lam[:, -r:], v[:, :, -r:]
         ws.append(v * np.sqrt(np.maximum(lam, POLISH_FLOOR))[:, None, :])
     fs, res = _factored_residual(supports, ws, dim)
     for _ in range(POLISH_STEPS):
@@ -1066,9 +1078,11 @@ def decide_antidist(ensemble, tol: float = DEFAULT_TOL, seed: int = 0,
     triples.  Routes (1) and (4) apply the criterion at boundary tolerance
     tol and never run the feasibility core; (5) one call of the
     feasibility core, which ends at a measurement (YES, method "search",
-    from a Douglas-Rachford iterate or from the Gauss-Newton polish of a
-    restart that went STALL_STEPS steps without a 1 % gain, checked by
-    verify_strong either way) or at a dual witness, looked for every
+    from a Douglas-Rachford iterate or from a Gauss-Newton polish, run with
+    factors cut at the iterate's rank at a restart's first idle witness look
+    below POLISH_AT and with every column at a restart that went
+    STALL_STEPS steps without a 1 % gain, checked by verify_strong in every
+    case) or at a dual witness, looked for every
     WITNESS_EVERY steps and rescaled to Y <= rho_j for every j (NO, method
     "witness", at the first witness where verify_no_witness gives more than
     the search's verification tolerance; the search ends when two witness

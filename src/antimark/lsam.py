@@ -17,7 +17,7 @@ import numpy as np
 
 from .ensembles import (NL2_PATTERN, Ensemble, _party_major, sequence_ensemble,
                         sequence_local_part, theta4)
-from .exclusion import (BOUNDARY_TOL, Povm, Verdict, _caves_inequalities, _support_feasible,
+from .exclusion import (BOUNDARY_TOL, Povm, Verdict, _caves_inequalities, _support_core,
                         decide_antidist, exclusion_counts)
 from .locc import LoccProtocol, _mapped_outcomes, flatten_protocol, verify_local_protocol
 from .qcore import DEFAULT_TOL, PartyLayout, kron
@@ -242,9 +242,9 @@ def theta_global_measurement(theta: float, seed: int = 0,
         if _theta_family_ok(povm, ensemble, 1e-10):
             return ThetaMeasurement(theta, povm, PAIR_MAP, False, reflected)
     groups = [[ensemble.state_of(pat) for pat in pair] for pair in PAIR_MAP]
-    els = _support_feasible(groups, 4, tol=1e-10, seed=seed)
-    if els is not None:
-        povm = Povm(layout, els, name=f"synthesized pair exclusion (theta={theta:g})")
+    found = _support_core(groups, 4, 1e-10, 3, 4000, seed)
+    if isinstance(found, list):
+        povm = Povm(layout, found, name=f"synthesized pair exclusion (theta={theta:g})")
         if _theta_family_ok(povm, ensemble, 1e-9):
             return ThetaMeasurement(theta, povm, PAIR_MAP, True, False)
     raise RuntimeError("no pair-exclusion measurement found for this tilt")

@@ -279,6 +279,23 @@ def test_sweep_usage_errors(capsys):
                "--max", "0.5", "--steps", "5")[0] == 64
 
 
+@pytest.mark.parametrize("flag,value", [("--min", "nan"), ("--min", "-inf"),
+                                        ("--max", "inf"), ("--max", "nan")])
+def test_sweep_non_finite_bounds_are_a_usage_error_naming_the_flag(capsys, flag, value):
+    bounds = {"--min": "0.5", "--max": "0.9", flag: value}
+    code, err = run_err(capsys, "sweep", "--family", "theta4", "--steps", "5",
+                        *(f"{f}={v}" for f, v in bounds.items()))
+    assert code == 64
+    assert f"{flag} must be a finite number" in err
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_check_lsam_length_below_one_is_a_usage_error(capsys, n):
+    code, err = run_err(capsys, "check-lsam", "--ensemble", "su3", "--n", n)
+    assert code == 64
+    assert "--n must be at least 1" in err
+
+
 def test_unknown_command_exits_via_argparse(capsys):
     for argv in (["frobnicate"], ["catalog", "--seed", "1"]):
         assert main(argv) == 64

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 
 from antimark import exclusion, qcore
 from antimark.ensembles import (Ensemble, bell4, bennett9, duan4, nl1, pbr4,
-                                restrict, sequence_ensemble, sic4, su3, theta4,
-                                trine3, weak3)
+                                restrict, sequence_ensemble, sequence_local_part,
+                                sic4, su3, theta4, trine3, weak3)
 from antimark.exclusion import (Povm, _block_stacks, _factored_jacobian,
                                 _factored_residual, _hermitian_basis,
                                 _orthocomplement, _psd_project, _support_core,
-                                _support_feasible, _triple_basis,
-                                _triple_cover, _triple_elements, _triple_screen,
+                                _triple_basis, _triple_cover, _triple_elements,
+                                _triple_screen,
                                 caves_criterion,
                                 compose_union, decide_antidist,
                                 exclusion_counts, povm_from_caves_triple,
@@ -767,7 +767,8 @@ def test_batched_core_matches_the_per_block_loop(kind, seeds):
     outcomes = set()
     for seed in seeds:
         groups, dim = support_instance(kind, seed)
-        fast = _support_feasible(groups, dim, tol=1e-9, restarts=2, iters=600, seed=seed)
+        found = _support_core(groups, dim, 1e-9, 2, 600, seed)
+        fast = found if isinstance(found, list) else None
         slow = loop_support_feasible(groups, dim, 1e-9, 2, 600, seed)
         assert (fast is None) == (slow is None), seed
         outcomes.add(fast is None)
@@ -779,8 +780,8 @@ def test_batched_core_matches_the_per_block_loop(kind, seeds):
 def test_support_spanning_the_whole_space_gets_a_zero_element():
     e0, e1 = np.eye(2, dtype=np.complex128)
     # the second element may only live on |1>, so completeness fails
-    assert _support_feasible([[e0, e1], [e0]], 2, tol=1e-10) is None
-    els = _support_feasible([[e0, e1], [e0], [e1]], 2, tol=1e-10)
+    assert _support_core([[e0, e1], [e0]], 2, 1e-10, 3, 4000, 0) is None
+    els = _support_core([[e0, e1], [e0], [e1]], 2, 1e-10, 3, 4000, 0)
     assert els is not None
     np.testing.assert_allclose(els[0], np.zeros((2, 2)), atol=0)
     np.testing.assert_allclose(els[1], np.diag([0.0, 1.0]), atol=1e-9)
@@ -930,12 +931,15 @@ def moved_quartet(i, seed):
 @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4],
                          ids=["base", "moved0", "moved1", "moved2", "moved3", "moved4"])
 def test_q1003_ends_yes_by_search_with_a_verified_certificate(monkeypatch, seed):
-    """The quartet of generator seed 1003 stalls the Douglas-Rachford core;
-    the polish finishes it at the default budget and, moved, at the
-    cross-validation budget of 2 restarts of 1500 steps.  A restart stalls
-    after STALL_STEPS flat steps, so the polish of restart 0 ends the search
-    well before 100 core steps."""
+    """The quartet of generator seed 1003 crawls in the Douglas-Rachford
+    core; the polish finishes it at the default budget and, moved, at the
+    cross-validation budget of 2 restarts of 1500 steps.  The first idle
+    look below POLISH_AT polishes restart 0 with factors cut at the
+    iterate's rank, which ends the search within 40 core steps, before
+    STALL_STEPS flat steps could pass (the stall polish ended it after 69
+    to 93)."""
     steps = count_core_steps(monkeypatch)
+    polishes = record_polishes(monkeypatch)
     if seed is None:
         e = quartet(3)
         v = decide_antidist(e)
@@ -943,7 +947,8 @@ def test_q1003_ends_yes_by_search_with_a_verified_certificate(monkeypatch, seed)
         e = moved_quartet(3, seed)
         v = decide_antidist(e, restarts=2, iters=1500)
     assert (v.decision, v.method) == ("YES", "search")
-    assert len(steps) < 100, len(steps)
+    assert len(steps) <= 40, len(steps)
+    assert [(args[6] > 0.0, answer is not None) for args, answer in polishes] == [(True, True)]
     assert verify_strong(e, v.certificate, tol=1e-8).passed
 
 
@@ -958,6 +963,65 @@ def count_core_steps(monkeypatch):
 
     monkeypatch.setattr(exclusion, "_psd_project", counting)
     return steps
+
+
+def record_polishes(monkeypatch):
+    """A list that gains (arguments, answer) for every polish the core runs;
+    the last argument is the cut."""
+    polish, polishes = exclusion._polish, []
+
+    def recording(*args):
+        polishes.append((args, polish(*args)))
+        return polishes[-1][1]
+
+    monkeypatch.setattr(exclusion, "_polish", recording)
+    return polishes
+
+
+@pytest.mark.parametrize("party", [None, "A", "B"], ids=["pbr4", "pbr4^[2] A", "pbr4^[2] B"])
+def test_pbr_searches_end_at_the_early_polish_within_40_steps(monkeypatch, party):
+    """pbr4 and the two local parts of its two-draw sequence task, whose
+    certificates are rank-one bases that Douglas-Rachford nears only
+    linearly.  The residual falls by about 1 % a step, so no stall comes;
+    the first idle look below POLISH_AT polishes factors cut at the
+    iterate's rank and ends the search (the full run took 56, 56 and 70
+    core steps)."""
+    e = pbr4() if party is None else sequence_local_part(pbr4(), 2, party)
+    steps = count_core_steps(monkeypatch)
+    polishes = record_polishes(monkeypatch)
+    v = decide_antidist(e)
+    assert (v.decision, v.method) == ("YES", "search")
+    assert len(steps) < 40, len(steps)
+    assert [(args[6] > 0.0, answer is not None) for args, answer in polishes] == [(True, True)]
+    assert verify_strong(e, v.certificate, tol=1e-8).passed
+
+
+def test_the_rank_cut_polishes_a_pbr_local_part_to_rank_one_elements(monkeypatch):
+    """The core's iterate on a PBR local part at its first look below
+    POLISH_AT: cut at that look's residual, every factor keeps one column
+    and the polished elements are rank one and pass verify_strong; with
+    cut 0 every factor keeps all its columns."""
+    e = sequence_local_part(pbr4(), 2, "B")
+    polishes = record_polishes(monkeypatch)
+    decide_antidist(e)
+    (*args, res), _ = polishes[0]
+    assert 0.0 < res < exclusion.POLISH_AT
+    monkeypatch.undo()
+    factored, shapes = exclusion._factored_residual, []
+
+    def shaping(supports, ws, dim):
+        shapes.append([w.shape[1:] for w in ws])
+        return factored(supports, ws, dim)
+
+    monkeypatch.setattr(exclusion, "_factored_residual", shaping)
+    els = exclusion._polish(*args, res)
+    assert shapes[0] == [(3, 1)]   # one stack of four size-3 blocks
+    assert els is not None
+    assert all(np.linalg.eigvalsh(m)[-2] < 1e-9 for m in els)
+    assert verify_strong(e, Povm(e.layout, els, list(e.labels)), tol=1e-8).passed
+    shapes.clear()
+    exclusion._polish(*args, 0.0)
+    assert shapes[0] == [(3, 3)]
 
 
 def record_witness_margins(monkeypatch):
@@ -1000,18 +1064,12 @@ def test_a_restart_runs_on_past_a_failed_polish_to_its_witness(monkeypatch, k, s
     """Six qubit states in C^3 or C^4: the residual flattens, and the polish
     runs and fails, some 70-170 steps before the displacement settles on a
     witness.  The restart goes on after the polish, so the answer is NO."""
-    polish, polished = exclusion._polish, []
-
-    def recording(*args):
-        polished.append(polish(*args))
-        return polished[-1]
-
-    monkeypatch.setattr(exclusion, "_polish", recording)
+    polishes = record_polishes(monkeypatch)
     e = embedded_qubits(k, seed, d)
     v = decide_antidist(e)
     assert (v.decision, v.method) == ("NO", "witness")
     assert verify_no_witness(e, v.witness) > 1e-8
-    assert polished and all(p is None for p in polished)
+    assert polishes and all(answer is None for _, answer in polishes)
 
 
 def test_a_witness_too_thin_for_the_search_lets_the_core_run_on(monkeypatch):
@@ -1093,7 +1151,9 @@ def test_a_polished_point_with_a_dead_element_falls_through_to_the_next_restart(
 
     monkeypatch.setattr(exclusion, "fires", all_dead)
     assert _support_core(groups, 3, 1e-9, 2, 1500, 0) is None
-    assert len(seen) == 2   # both restarts stalled, and neither polished point counts
+    # each restart polishes twice, at its first idle look below POLISH_AT and
+    # at its stall, and none of the four polished points counts
+    assert len(seen) == 4
 
     seen.clear()
 
@@ -1106,7 +1166,8 @@ def test_a_polished_point_with_a_dead_element_falls_through_to_the_next_restart(
 
     monkeypatch.setattr(exclusion, "fires", dead_first)
     els = _support_core(groups, 3, 1e-9, 2, 1500, 0)
-    # restart 0's point fired everywhere but was reported dead, so restart 1 ran
+    # restart 0's early point fired everywhere but was reported dead, so the
+    # restart ran on to its stall polish
     assert len(seen) == 2 and seen[0].all() and seen[1].all()
     assert isinstance(els, list)
     monkeypatch.undo()
@@ -1121,8 +1182,6 @@ def test_core_witness_bounds_every_compression():
     top = max(np.linalg.eigvalsh(b.conj().T @ y @ b)[-1]
               for b in (_orthocomplement([s], 3) for s in e.states))
     assert 1.0 - 3 * max(top, 0.0) > 0.0
-    # the measurement-building view of the core sees no measurement
-    assert _support_feasible([[s] for s in e.states], 3, tol=1e-9) is None
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

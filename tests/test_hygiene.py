@@ -97,9 +97,9 @@ def test_one_measurement_check():
 
 
 def test_the_search_entry_points_keep_their_parameters():
-    """The core's polish runs where the stall rule fires and takes no
-    setting: the parameters of the core and of every route into it stay
-    these, names and defaults alike."""
+    """The core's polish runs at the first idle look below POLISH_AT and
+    where the stall rule fires, and takes no setting: the parameters of the
+    core and of every route into it stay these, names and defaults alike."""
     def params(f):
         return [(p.name, p.default) for p in inspect.signature(f).parameters.values()]
     empty = inspect.Parameter.empty
@@ -113,3 +113,17 @@ def test_the_search_entry_points_keep_their_parameters():
         ("e", empty), ("restarts", 3), ("iters", 4000), ("seed", 0)]
     assert params(exclusion.decide_antidist) == [
         ("ensemble", empty), ("tol", 1e-9), ("seed", 0), ("restarts", 3), ("iters", 4000)]
+
+
+def test_only_the_command_line_reads_the_environment_and_only_its_tolerance():
+    """Solver constants stay constants: the one environment read in the
+    package is cli.py's ANTIMARK_TOL, a default for --tol."""
+    modules = parsed_modules()
+    reads = [f"{mod}:{node.lineno}" for mod, tree in modules.items() for node in ast.walk(tree)
+             if (node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None))
+             in ("environ", "environb", "getenv")]
+    assert len(reads) == 1 and reads[0].startswith("cli:"), reads
+    keys = [node.args[0].value for node in ast.walk(modules["cli"])
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Attribute) and node.func.value.attr == "environ"]
+    assert keys == ["ANTIMARK_TOL"]
