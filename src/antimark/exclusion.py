@@ -1,7 +1,8 @@
 """Strong exclusion measurements: certificates, exact criteria, search, decision.
 
 The decision routine prefers exact criteria (the three-state overlap test,
-the single-qubit weight program and, for two states, orthogonality), then
+and the single-qubit weight program for any ensemble whose span has rank at
+most 2, pairs included, solved on span coordinates and lifted back), then
 tries to cover the ensemble with certified three-state measurements, each
 written down in closed form, then runs the feasibility core, which ends at a
 measurement or at a dual witness.  A NO comes from an exact criterion or
@@ -24,6 +25,7 @@ from .simplex import simplex_maximize
 
 BOUNDARY_TOL = 1e-9
 SEARCH_TOL = 1e-8    # the least tolerance a search certificate is verified at
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 def _ket(s) -> np.ndarray:
@@ -295,39 +297,84 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# single-qubit weight program
+# span coordinates and the single-qubit weight program
 
 
-def _vec4(h: np.ndarray) -> np.ndarray:
-    # Hermitian 2x2 -> R^4 coordinates
-    return np.array([h[0, 0].real, h[1, 1].real, h[0, 1].real, h[0, 1].imag])
+def _span(kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rank of the span of the kets (the rows of a stack; singular values
+    above 1e-9) and vh of one stacked SVD: the first rows b of vh are an
+    orthonormal span basis, and kets @ b^dag the span coordinates."""
+    _, svals, vh = np.linalg.svd(kets, full_matrices=False)
+    return np.sum(svals > 1e-9, axis=-1), vh
 
 
-def _min_weight_completion(projs: list[np.ndarray]):
-    """Maximize the smallest weight t with sum_i (s_i + t) P_i = I, s_i >= 0.
+def _lift(b: np.ndarray, small: np.ndarray, k: int) -> np.ndarray:
+    """Span-coordinate elements S (..., r, r) as B S B^dag + (I - B B^dag) / k,
+    B = b^T for span basis rows b (..., r, d): the span's complement is split
+    evenly across the k elements, which keep their exclusions."""
+    r, d = b.shape[-2:]
+    return np.swapaxes(b, -1, -2) @ (small - np.eye(r) / k) @ b.conj() + np.eye(d) / k
 
-    Returns (status, weights, t) where weights are s_i + t; status is
-    "optimal" or "infeasible".
-    """
+
+def _min_weight_completion(projs: np.ndarray):
+    """Maximize the smallest weight t with sum_i (s_i + t) P_i = I, s_i >= 0,
+    for a (r, 2, 2) stack of projectors read in R^4: the weights s_i + t and
+    t, or (None, None) when the program is infeasible."""
     r = len(projs)
-    A = np.zeros((4, r + 2))
-    for i, p in enumerate(projs):
-        A[:, i] = _vec4(p)
-    total = _vec4(sum(projs))
-    A[:, r] = total
-    A[:, r + 1] = -total
-    b = np.array([1.0, 1.0, 0.0, 0.0])
-    c = np.zeros(r + 2)
-    c[r] = 1.0
-    c[r + 1] = -1.0
-    res = simplex_maximize(c, A, b)
+    cols = np.array([projs[:, 0, 0].real, projs[:, 1, 1].real,
+                     projs[:, 0, 1].real, projs[:, 0, 1].imag])
+    total = cols.sum(axis=1, keepdims=True)
+    res = simplex_maximize(np.r_[np.zeros(r), 1.0, -1.0], np.hstack([cols, total, -total]),
+                           np.array([1.0, 1.0, 0.0, 0.0]))
     if res.status == "infeasible":
-        return "infeasible", None, None
+        return None, None
     if res.status != "optimal":
         raise RuntimeError(f"weight program ended with status {res.status!r}")
     t = float(res.value)
-    weights = [float(res.x[i]) + t for i in range(r)]
-    return "optimal", weights, t
+    return [float(x) + t for x in res.x[:r]], t
+
+
+def _qubit_elements(vecs: np.ndarray):
+    """The weight program on kets in C^2 (rows; equal ones up to phase merged,
+    their weight split evenly): its optimum t, the weights alpha_j and the
+    antipode elements max(alpha_j, 0) (I - |psi_j><psi_j|), or three Nones
+    when infeasible.  Both qubit_antidist_lp and _triple_elements build here."""
+    reps, owner = [], []
+    for v in vecs:
+        owner.append(next((r for r, w in enumerate(reps) if same_up_to_phase(v, w)), len(reps)))
+        if owner[-1] == len(reps):
+            reps.append(v)
+    weights, t = _min_weight_completion(np.array([density(v) for v in reps]))
+    if t is None:
+        return None, None, None
+    alphas = [weights[r] / owner.count(r) for r in owner]
+    return t, alphas, np.array([max(a, 0.0) * (np.eye(2) - density(v))
+                                for a, v in zip(alphas, vecs)])
+
+
+def _bloch_witness(vecs: np.ndarray) -> np.ndarray | None:
+    """Y <= rho_j for kets in C^2 (rows) whose Bloch hull misses the origin:
+    with p its least-norm point (None at the origin), u = p / |p| and
+    c = min_j u.n_j > 0, Y = (1 - sqrt(1 - c^2)) I / 2 + c u.sigma / 2, since
+    |c u - n_j|^2 <= 1 - c^2 bounds the eigenvalues of Y - rho_j by 0.  p is
+    solved in closed form on every vertex, edge and triangle, all at once."""
+    n = np.einsum("ja,sab,jb->js", vecs.conj(), PAULI, vecs).real
+    points = [n]
+    for m in range(2, min(len(n), 3) + 1):
+        idx = np.array(list(combinations(range(len(n)), m)), dtype=np.intp)
+        a = n[idx[:, 0], :, None]
+        edges = np.swapaxes(n[idx[:, 1:]], -1, -2) - a   # (C(k, m), 3, m - 1)
+        x = -np.linalg.pinv(edges) @ a
+        inside = (x >= 0.0).all(axis=(1, 2)) & (x.sum(axis=(1, 2)) <= 1.0)
+        points.append((a + edges @ x)[inside, :, 0])
+    points = np.concatenate(points)
+    p = points[np.argmin(np.einsum("ij,ij->i", points, points))]
+    if not p.any():
+        return None
+    u = p / np.linalg.norm(p)
+    c = float(np.min(n @ u))
+    half_trace = c * c / (2.0 * (1.0 + math.sqrt(max(1.0 - c * c, 0.0))))  # no cancellation
+    return half_trace * np.eye(2) + (c / 2.0) * np.einsum("s,sab->ab", u, PAULI)
 
 
 def qubit_antidist_lp(states, labels=None, tol: float = DEFAULT_TOL) -> Verdict:
@@ -335,41 +382,28 @@ def qubit_antidist_lp(states, labels=None, tol: float = DEFAULT_TOL) -> Verdict:
 
     Looks for weights alpha_i > 0 with sum_i alpha_i |psi_i><psi_i| = I by
     maximizing the smallest weight.  YES iff the optimum exceeds tol; the
-    witness measurement sends each state to its antipodal projector scaled by
-    its weight.  States equal up to phase are merged before solving and the
-    merged weight is split evenly across them.  The states and labels must
-    make a single-qubit Ensemble (ValueError otherwise).
+    certificate sends each state to its antipodal projector scaled by its
+    weight.  A NO whose optimum is below -tol, or whose program is
+    infeasible, has a Bloch hull that misses the origin and carries the
+    witness of ``_bloch_witness``, its margin as margins[0]; any other NO is
+    a boundary NO (the hull reaches the origin), with the optimum and no
+    witness.  The states and labels must make a single-qubit Ensemble
+    (ValueError otherwise).
     """
-    vecs = [_ket(s) for s in states]
+    vecs = np.stack([_ket(s) for s in states])
     labels = [f"s{i}" for i in range(len(vecs))] if labels is None else list(labels)
-    e = Ensemble("qubit set", PartyLayout((2,)), labels, vecs)
-
-    reps: list[int] = []
-    owner: list[int] = []
-    for i, v in enumerate(vecs):
-        for r, j in enumerate(reps):
-            if same_up_to_phase(v, vecs[j]):
-                owner.append(r)
-                break
-        else:
-            owner.append(len(reps))
-            reps.append(i)
-    mult = [owner.count(r) for r in range(len(reps))]
-    projs = [density(vecs[j]) for j in reps]
-
-    status, weights, t = _min_weight_completion(projs)
-    if status == "infeasible":
-        return Verdict("NO", "qubit_lp", margins=[],
-                       detail="identity is outside the cone of the state projectors")
-    alphas = [weights[owner[i]] / mult[owner[i]] for i in range(len(vecs))]
-    if t <= tol:
-        return Verdict("NO", "qubit_lp", margins=[t], alphas=alphas,
-                       detail=f"best smallest weight {t:.3e} is not positive")
-
-    povm = _accepted(e, [a * (np.eye(2) - density(v)) for a, v in zip(alphas, vecs)],
-                     "antipode witness", tol)
-    return Verdict("YES", "qubit_lp", margins=[t], alphas=alphas, certificate=povm,
-                   detail=f"smallest completion weight {t:.6g}")
+    e = Ensemble("qubit set", PartyLayout((2,)), labels, list(vecs))
+    t, alphas, els = _qubit_elements(vecs)
+    if t is not None and t > tol:
+        povm = _accepted(e, list(els), "antipode witness", tol)
+        return Verdict("YES", "qubit_lp", margins=[t], alphas=alphas, certificate=povm,
+                       detail=f"smallest completion weight {t:.6g}")
+    y = _bloch_witness(vecs) if t is None or t < -tol else None
+    if y is not None and (margin := verify_no_witness(e, y)) > 0.0:
+        return Verdict("NO", "qubit_lp", margins=[margin], alphas=alphas, witness=y,
+                       detail="the hull of the Bloch vectors misses the origin")
+    return Verdict("NO", "qubit_lp", margins=[] if t is None else [t], alphas=alphas,
+                   detail="boundary: the hull of the Bloch vectors reaches the origin")
 
 
 # ---------------------------------------------------------------------------
@@ -773,29 +807,6 @@ def _states_witness(e: Ensemble, y: np.ndarray) -> np.ndarray:
     return y / t
 
 
-def _pair_verdict(e: Ensemble, tol: float) -> Verdict:
-    """Exact decision for two states: antidistinguishable iff orthogonal.
-
-    An orthogonal pair gets E_a = |b><b| + R/2, E_b = |a><a| + R/2 with
-    R = I - |a><a| - |b><b|; any other pair gets the witness
-    Y = (rho_a + rho_b - |rho_a - rho_b|) / 2 <= rho_a, rho_b, whose margin
-    is 1 - sqrt(1 - |<a|b>|^2)."""
-    a, b = (_ket(s) for s in e.states)
-    overlap = abs(np.vdot(a, b))
-    if overlap <= tol:
-        rest = (np.eye(a.size) - density(a) - density(b)) / 2.0
-        povm = _accepted(e, [density(b) + rest, density(a) + rest],
-                         "orthogonal pair exclusion", tol)
-        return Verdict("YES", "pair", certificate=povm,
-                       detail="orthogonal pair")
-    w, v = np.linalg.eigh(density(a) - density(b))
-    y = (density(a) + density(b) - (v * np.abs(w)) @ v.conj().T) / 2.0
-    x = overlap ** 2
-    margin = x / (1.0 + math.sqrt(1.0 - min(x, 1.0)))  # 1 - sqrt(1 - x), without cancellation
-    return Verdict("NO", "pair", margins=[margin], witness=y,
-                   detail=f"overlap {overlap:.3e}: the pair is not orthogonal")
-
-
 # ---------------------------------------------------------------------------
 # certified measurement for a passing triple
 
@@ -883,42 +894,34 @@ def _triple_elements(kets: np.ndarray, triples: np.ndarray, tol: float
     whose j-th element of a triple excludes its j-th ket, and which triples
     were built.
 
-    Each triple is solved inside the span of its kets (one stacked SVD).  A
+    Each triple is solved inside the span of its kets (``_span``): a
     three-dimensional span takes the projectors onto the closed-form bases
     of one ``_triple_basis`` call over the whole stack (Caves, Fuchs and
-    Schack, PRA 66, 062111, 2002); a two-dimensional one goes through the
-    single-qubit weight program, one triple at a time, and is not built when
-    that program finds no completion.  The lift I/3 + B (S - I/3) B^dag of
-    the span-coordinate elements S, B the span basis, splits the span's
-    orthogonal complement evenly across the three elements.  A triple whose
-    elements come out non-finite is not built either.  Nothing is verified
-    here: the callers check what they return."""
+    Schack, PRA 66, 062111, 2002), a two-dimensional one the antipode
+    elements of ``_qubit_elements``, and is not built when that program
+    finds no completion; ``_lift`` with k = 3 carries both back.  A triple
+    whose elements come out non-finite is not built either.  Nothing is
+    verified here: the callers check what they return."""
     stack = kets[triples]
-    n, _, d = stack.shape
-    _, svals, vh = np.linalg.svd(stack, full_matrices=False)
-    full = np.sum(svals > 1e-9, axis=-1) == 3
+    rank, vh = _span(stack)
     ys = stack @ np.swapaxes(vh.conj(), -1, -2)   # the kets in span coordinates
-    small = np.zeros((n, 3, 3, 3), dtype=np.complex128)
-    built = np.ones(n, dtype=bool)
-    if full.any():
-        f = _triple_basis(ys[full] / np.linalg.norm(ys[full], axis=-1, keepdims=True))
-        small[full] = f[..., :, None] * f.conj()[..., None, :]
-    eye2 = np.eye(2)
-    for t in np.flatnonzero(~full):
-        y2 = ys[t, :, :2] / np.linalg.norm(ys[t, :, :2], axis=-1, keepdims=True)
+    ys /= np.linalg.norm(ys, axis=-1, keepdims=True)
+    small = np.zeros((len(stack), 3, 3, 3), dtype=np.complex128)
+    built = np.ones(len(stack), dtype=bool)
+    if (rank == 3).any():
+        f = _triple_basis(ys[rank == 3])
+        small[rank == 3] = f[..., :, None] * f.conj()[..., None, :]
+    for t in np.flatnonzero(rank < 3):
         try:
-            status, weights, _ = _min_weight_completion([density(y) for y in y2])
+            best, _, qels = _qubit_elements(ys[t, :, :2])
         except RuntimeError:   # a program that ends neither optimal nor infeasible
-            status = "failed"
-        if status != "optimal" or min(weights) <= -tol:
-            built[t] = False
-            continue
-        small[t, :, :2, :2] = [max(wt, 0.0) * (eye2 - density(y)) for wt, y in zip(weights, y2)]
-        small[t, :, 2, 2] = 1.0 / 3.0   # the third basis row lies outside the span
+            best = None
+        built[t] = best is not None and best > -tol
+        if built[t]:
+            small[t, :, :2, :2] = qels
+            small[t, :, 2, 2] = 1.0 / 3.0   # the third basis row lies outside the span
     r = vh.shape[-2]   # 3, or 2 for qubit kets
-    lifted = (np.swapaxes(vh, -1, -2)[:, None] @ (small[..., :r, :r] - np.eye(r) / 3.0)
-              @ vh.conj()[:, None])
-    els = lifted + np.eye(d) / 3.0
+    els = _lift(vh[:, None], small[..., :r, :r], 3)
     return els, built & np.isfinite(els).all(axis=(1, 2, 3))
 
 
@@ -927,13 +930,11 @@ def povm_from_caves_triple(states, labels=None, layout: PartyLayout | None = Non
     """Certified three-outcome exclusion measurement for a triple that passes
     the three-state criterion at boundary tolerance tol.
 
-    The one-triple case of ``_triple_elements``, the builder the triple cover
-    of ``decide_antidist`` runs on all its triples at once: a
-    two-dimensional span reduces to the single-qubit weight program, a
-    three-dimensional one takes the projectors onto the closed-form basis of
-    ``_triple_basis``, each orthogonal to its state (Caves, Fuchs and Schack,
-    PRA 66, 062111, 2002), and the orthogonal complement of the span is
-    split evenly across the elements.  The result must pass verify_strong at
+    The one-triple case of ``_triple_elements``, the builder the triple
+    cover of ``decide_antidist`` runs on all its triples at once: the
+    projectors onto a closed-form basis, each orthogonal to its state, on a
+    three-dimensional span, and the single-qubit program's antipode elements
+    on a two-dimensional one.  The result must pass verify_strong at
     max(tol, 1e-10), and a RuntimeError reports a weight program that finds
     no completion or a certificate that fails.  A triple that fails the
     criterion, or holds a ket whose norm is not 1 within 1e-9, raises
@@ -1058,38 +1059,37 @@ def _triple_cover(e: Ensemble, tol: float
     return None
 
 
+def _lifted(e: Ensemble, v: Verdict, b: np.ndarray, tol: float) -> Verdict:
+    """A verdict on the span coordinates kets @ b^dag, checked again in the
+    ensemble's space: its certificate, lifted by ``_lift``, must pass
+    verify_strong, and its witness, lifted to B Y B^dag, needs a positive margin."""
+    if v.certificate is not None:
+        els = _lift(b, np.asarray(v.certificate.elements), e.n_states)
+        v.certificate = _accepted(e, list(els), v.certificate.name, tol)
+    if v.witness is not None:
+        y = b.T @ v.witness @ b.conj()
+        margin = verify_no_witness(e, y)
+        v.witness, v.margins = (y, [margin]) if margin > 0.0 else (None, [])
+    return v
+
+
 def decide_antidist(ensemble, tol: float = DEFAULT_TOL, seed: int = 0,
                     restarts: int = 3, iters: int = 4000) -> Verdict:
     """Decide strong antidistinguishability of an ensemble of pure states.
 
-    Route order: (1) exactly three states, the exact overlap criterion with a
-    certified measurement on YES; (2) single-qubit states, the exact weight
-    program; (3) two states, exact: YES when orthogonal, else NO with a
-    closed-form witness (method "pair"); (4) four or more states, a greedy
-    cover by passing triples, screened all at once from one Gram matrix: the
-    smallest uncovered state takes, of the passing triples that hold it, the
-    one covering most uncovered states (ties in enumeration order); the
-    chosen triples' closed-form measurements are built in one batched pass
-    and assembled as ``compose_union`` assembles, and that union is the
-    certificate, accepted by one verify_strong call on the whole ensemble; a
-    triple that cannot be built, or that fails its own check when the union
-    fails, is dropped and the cover is planned again (``_triple_cover``),
-    and the margins come from the screen's Gram matrix on the chosen
-    triples.  Routes (1) and (4) apply the criterion at boundary tolerance
-    tol and never run the feasibility core; (5) one call of the
-    feasibility core, which ends at a measurement (YES, method "search",
-    from a Douglas-Rachford iterate or from a Gauss-Newton polish, run with
-    factors cut at the iterate's rank at a restart's first idle witness look
-    below POLISH_AT and with every column at a restart that went
-    STALL_STEPS steps without a 1 % gain, checked by verify_strong in every
-    case) or at a dual witness, looked for every
-    WITNESS_EVERY steps and rescaled to Y <= rho_j for every j (NO, method
-    "witness", at the first witness where verify_no_witness gives more than
-    the search's verification tolerance; the search ends when two witness
-    margins in a row fall short and agree within 1 %, and a restart ends
-    after GIVE_UP_STEPS steps without a 1 % gain);
-    (6) UNKNOWN.  Every NO comes from an exact criterion or carries
-    ``witness``.
+    Routes: (1) exactly three states, the exact overlap criterion, with a
+    certified measurement on YES; (2) a span of rank at most 2 (``_span``):
+    ``qubit_antidist_lp`` on the span coordinates B^dag psi_j, B padded to two
+    columns at rank 1, exact as antidistinguishability depends only on the
+    Gram matrix, its answer lifted and checked again (``_lifted``); (3) four
+    or more states, the triple cover of ``_triple_cover``, its union
+    accepted by one verify_strong call; (4) the feasibility core
+    (``_search``), ending at a measurement that verify_strong accepts (YES,
+    "search") or at a dual witness Y <= rho_j whose margin exceeds the
+    search's tolerance (NO, "witness"); (5) UNKNOWN.  Routes (1) and (3)
+    apply the criterion at boundary tolerance tol, and never run the core,
+    nor does (2).  Every NO comes from an exact criterion or carries
+    ``witness``, as every qubit_lp NO but a boundary one does.
     """
     e = _as_ensemble(ensemble)
     k = e.n_states
@@ -1104,11 +1104,11 @@ def decide_antidist(ensemble, tol: float = DEFAULT_TOL, seed: int = 0,
         cert = povm_from_caves_triple(e.states, e.labels, layout=e.layout, tol=tol)
         return Verdict("YES", "caves", margins=margins, caves=rep, certificate=cert)
 
-    if e.layout.dim == 2:
-        return qubit_antidist_lp(e.states, e.labels, tol=tol)
-
-    if k == 2:
-        return _pair_verdict(e, tol)
+    kets = np.stack(e.states)
+    rank, vh = _span(kets)
+    if rank <= 2:
+        b = vh[:2]
+        return _lifted(e, qubit_antidist_lp(kets @ b.conj().T, e.labels, tol=tol), b, tol)
 
     if k >= 4:
         cover = _triple_cover(e, tol)

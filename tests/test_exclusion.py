@@ -1059,16 +1059,27 @@ def embedded_qubits(k, seed, d):
                     [f"s{j}" for j in range(k)], kets)
 
 
+def assert_qubit_lp_no_with_witness(e):
+    """decide_antidist answers an ensemble of span rank 2 exactly, with the
+    lifted witness of the single-qubit program and its margin."""
+    v = decide_antidist(e)
+    assert (v.decision, v.method) == ("NO", "qubit_lp")
+    assert v.margins == [verify_no_witness(e, v.witness)]
+    assert v.margins[0] > 0.0
+
+
 @pytest.mark.parametrize("k,seed,d", [(6, 141, 3), (6, 69, 4), (6, 79, 4)])
 def test_a_restart_runs_on_past_a_failed_polish_to_its_witness(monkeypatch, k, seed, d):
     """Six qubit states in C^3 or C^4: the residual flattens, and the polish
     runs and fails, some 70-170 steps before the displacement settles on a
-    witness.  The restart goes on after the polish, so the answer is NO."""
-    polishes = record_polishes(monkeypatch)
+    witness.  The restart goes on after the polish, so the search ends at a
+    witness.  decide_antidist answers these on their span instead."""
     e = embedded_qubits(k, seed, d)
-    v = decide_antidist(e)
-    assert (v.decision, v.method) == ("NO", "witness")
-    assert verify_no_witness(e, v.witness) > 1e-8
+    assert_qubit_lp_no_with_witness(e)
+    polishes = record_polishes(monkeypatch)
+    y = exclusion._search(e, 3, 4000, 0, exclusion.SEARCH_TOL)
+    assert isinstance(y, np.ndarray)
+    assert verify_no_witness(e, y) > 1e-8
     assert polishes and all(answer is None for _, answer in polishes)
 
 
@@ -1096,11 +1107,13 @@ def test_the_search_ends_once_a_thin_witness_margin_settles(monkeypatch):
     """Six qubit states in C^4 whose witness margin settles near 3.2e-9,
     below the search's 1e-8: the search ends at the second short margin
     that agrees with the one before within 1 %, not after every restart's
-    flat steps (about 1300 core steps)."""
+    flat steps (about 1300 core steps).  decide_antidist answers them on
+    their span instead."""
+    e = embedded_qubits(6, 1297, 4)
+    assert_qubit_lp_no_with_witness(e)
     steps = count_core_steps(monkeypatch)
     margins = record_witness_margins(monkeypatch)
-    v = decide_antidist(embedded_qubits(6, 1297, 4))
-    assert v.decision == "UNKNOWN"
+    assert exclusion._search(e, 3, 4000, 0, exclusion.SEARCH_TOL) is None
     assert len(steps) < 200, len(steps)
     assert all(0.0 < m <= 1e-8 for m in margins)
     assert abs(margins[-1] - margins[-2]) <= 0.01 * margins[-2]
@@ -1240,7 +1253,7 @@ def test_pair_route_decides_two_states_exactly():
         a, b = haar(d, rng), haar(d, rng)
         e = Ensemble("pair", PartyLayout((d,)), ["a", "b"], [a, b])
         v = decide_antidist(e)
-        assert (v.decision, v.method) == ("NO", "pair")
+        assert (v.decision, v.method) == ("NO", "qubit_lp")
         x = abs(np.vdot(a, b)) ** 2
         assert v.margins[0] == pytest.approx(1.0 - math.sqrt(1.0 - x), rel=1e-9)
         assert verify_no_witness(e, v.witness) == pytest.approx(v.margins[0], rel=1e-9)
@@ -1249,7 +1262,7 @@ def test_pair_route_decides_two_states_exactly():
         b_perp = b - np.vdot(a, b) * a
         e = Ensemble("pair", PartyLayout((d,)), ["a", "b"], [a, b_perp / np.linalg.norm(b_perp)])
         v = decide_antidist(e)
-        assert (v.decision, v.method) == ("YES", "pair")
+        assert (v.decision, v.method) == ("YES", "qubit_lp")
         assert verify_strong(e, v.certificate, tol=1e-9).passed
         assert v.witness is None
 
@@ -1261,3 +1274,95 @@ def test_verdict_writes_its_witness():
     back = np.array([[complex(re, im) for re, im in row] for row in doc["witness"]])
     np.testing.assert_allclose(back, v.witness, atol=0)
     assert decide_antidist(trine3()).to_dict()["witness"] is None
+
+
+# ---------------------------------------------------------------------------
+# the span route: every ensemble of span rank at most 2 is a qubit problem
+
+
+def qubits_and_embedding(k, seed, d):
+    """k Haar qubit states, and the same states placed in C^d by a Haar
+    unitary, with random phases and relabelled.  The draws start as those of
+    ``embedded_qubits(k, seed, d)``, so the embedded states are its states."""
+    rng = np.random.default_rng([k, seed, d, 7])
+    u, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    u = u * (np.diag(r) / np.abs(np.diag(r)))
+    kets = [haar(2, rng) for _ in range(k)]
+    phases = np.exp(2j * math.pi * rng.uniform(size=k))
+    order = rng.permutation(k)
+    labels = [f"s{j}" for j in range(k)]
+    flat = Ensemble(f"qubits k{k} s{seed}", PartyLayout((2,)), labels, kets)
+    moved = Ensemble(f"qubits k{k} s{seed} in C^{d}", PartyLayout((d,)),
+                     [labels[j] for j in order],
+                     [phases[j] * (u @ np.concatenate([kets[j], np.zeros(d - 2)]))
+                      for j in order])
+    return flat, moved
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(k=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1), d=st.sampled_from([3, 4]))
+@example(k=6, seed=1276, d=3)
+@example(k=6, seed=1297, d=4)
+@example(k=6, seed=141, d=3)
+def test_the_span_route_is_invariant_under_embedding(k, seed, d):
+    """Decision and method in C^3 and C^4 are those in C^2, a YES certificate
+    verifies in the full space, and a lifted witness keeps its C^2 margin
+    within a relative 1e-9, or within the checker's own rounding, 16 d
+    machine epsilons, for margins as thin as the 6.3e-9 of (6, 1297, 4).
+    The examples are the known hard draws: two thin NOs, whose margins the
+    core's search cannot certify at 1e-8, and (6, 141, 3), on which the
+    core's polish fails before its witness settles."""
+    flat, moved = qubits_and_embedding(k, seed, d)
+    want, got = decide_antidist(flat), decide_antidist(moved)
+    assert (got.decision, got.method) == (want.decision, want.method)
+    assert got.decision in ("YES", "NO")
+    if got.decision == "YES":
+        assert verify_strong(moved, got.certificate, tol=1e-8).passed
+    if want.witness is not None:
+        assert verify_no_witness(moved, got.witness) == pytest.approx(
+            verify_no_witness(flat, want.witness), rel=1e-9, abs=16 * d * np.finfo(float).eps)
+
+
+def test_copies_of_one_state_are_decided_on_their_span():
+    """Four copies of one ket, up to phase, in C^3: no measurement excludes
+    a state that every outcome must exclude.  The span has rank 1, so the
+    qubit program answers, with the witness rho_a of margin 1."""
+    a = haar(3, np.random.default_rng(11))
+    e = Ensemble("copies", PartyLayout((3,)), list("abcd"), [a, 1j * a, -a, a])
+    v = decide_antidist(e)
+    assert (v.decision, v.method) == ("NO", "qubit_lp")
+    np.testing.assert_allclose(v.witness, density(a), atol=1e-12)
+    assert v.margins[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_every_no_with_a_witness_reports_its_margin():
+    """margins[0] of a NO that carries a witness is that witness's
+    verify_no_witness margin, and it is positive: core witnesses, lifted
+    qubit witnesses of pairs, copies and thin ensembles, and the local parts
+    of pbr4 at n = 1, the pairs |0>, |+> whose Bloch hull misses the origin."""
+    rng = np.random.default_rng(3)
+    a = haar(3, rng)
+    cases = ([quartet(i) for i in NO_QUARTETS[:4]]
+             + [Ensemble("pair", PartyLayout((4,)), ["a", "b"], [haar(4, rng), haar(4, rng)]),
+                Ensemble("copies", PartyLayout((3,)), list("abcd"), [a, -a, a, 1j * a])]
+             + [embedded_qubits(6, s, d) for s, d in ((1276, 3), (1297, 4), (141, 3))]
+             + [sequence_local_part(pbr4(), 1, p) for p in "AB"])
+    for e in cases:
+        v = decide_antidist(e)
+        assert v.decision == "NO" and v.witness is not None, e.name
+        assert v.margins == [verify_no_witness(e, v.witness)] and v.margins[0] > 0, e.name
+    part = sequence_local_part(pbr4(), 1, "A")
+    assert decide_antidist(part).margins[0] == pytest.approx(1 - math.sqrt(0.5), rel=1e-12)
+
+
+def test_boundary_qubit_nos_say_so_and_carry_no_witness():
+    """A NO whose Bloch hull holds the origin is weakly but not strongly
+    antidistinguishable, so no witness has a positive margin: weak3 and the
+    local parts of duan4 at n = 1 keep the program's optimum as their only
+    margin and say "boundary"."""
+    verdicts = ([qubit_antidist_lp(weak3().states)]
+                + [decide_antidist(sequence_local_part(duan4(), 1, p)) for p in "AB"])
+    for v in verdicts:
+        assert (v.decision, v.method) == ("NO", "qubit_lp")
+        assert v.witness is None and "boundary" in v.detail
+        assert len(v.margins) == 1 and abs(v.margins[0]) <= 1e-9

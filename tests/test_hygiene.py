@@ -127,3 +127,14 @@ def test_only_the_command_line_reads_the_environment_and_only_its_tolerance():
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
             and isinstance(node.func.value, ast.Attribute) and node.func.value.attr == "environ"]
     assert keys == ["ANTIMARK_TOL"]
+
+
+def test_one_qubit_weight_program():
+    """The single-qubit weight program has one caller, the builder that
+    qubit_antidist_lp and the rank-2 triples of _triple_elements share."""
+    calls = [f"{mod}.{fn.name}" for mod, tree in parsed_modules().items()
+             for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn) if isinstance(node, ast.Call)
+             and (node.func.id if isinstance(node.func, ast.Name)
+                  else getattr(node.func, "attr", None)) == "_min_weight_completion"]
+    assert calls == ["exclusion._qubit_elements"]
