@@ -197,39 +197,19 @@ def _cmd_check_antidist(args) -> int:
     e = _load_ensemble(args)
     tol = _tolerance(args)
     start = time.perf_counter()
-    parts = None
     if args.mode == "global":
         v = decide_antidist(e, tol=tol, seed=args.seed)
     else:
         if e.layout.n_parties < 2:
             raise DataError("local mode needs an ensemble with at least two parties")
-        if e.is_orthogonal:
-            proto = build_pairwise_lad_protocol(e, tol=tol)
-            rep = verify_local_protocol(e, proto, tol=tol)
-            if not rep.passed:
-                raise RuntimeError("pairwise protocol failed verification: "
-                                   + "; ".join(rep.failures))
-            v = Verdict("YES", "pairwise_walgate",
-                        detail="orthogonal states: generated protocol verified")
-        elif e.is_product:
-            v = check_lsam(e, 1, 1, tol=tol, seed=args.seed)
-            parts = v.parts
-        else:
-            # a local protocol is one global measurement, so a global NO is a local NO
-            v = decide_antidist(e, tol=tol, seed=args.seed)
-            if v.decision == "NO":
-                v.detail = f"global NO: {v.detail}"
-            else:
-                v = Verdict("UNKNOWN", "exhausted",
-                            detail="no local criterion for entangled non-orthogonal "
-                                   f"states (global decision {v.decision})")
+        v = check_lsam(e, 1, 1, tol=tol, seed=args.seed)
     duration = time.perf_counter() - start
     report = {"command": "check-antidist", "ensemble": e.name, "mode": args.mode,
               "tol": tol, "verdict": v.to_dict(), "duration_s": duration}
-    if parts is not None:
-        report["parts"] = {name: sub.to_dict() for name, sub in parts.items()}
+    if v.parts is not None:
+        report["parts"] = {name: sub.to_dict() for name, sub in v.parts.items()}
     lines = [f"ensemble: {e.name}", f"mode: {args.mode}"] + _verdict_lines(v)
-    lines += _party_lines(parts)
+    lines += _party_lines(v.parts)
     _emit(args, report, lines)
     return _verdict_exit(v.decision)
 

@@ -2,18 +2,18 @@
 
 The decision routine prefers exact criteria (the three-state overlap test,
 and the single-qubit weight program for any ensemble whose span has rank at
-most 2, pairs included, solved on span coordinates and lifted back), then
-tries to cover the ensemble with certified three-state measurements, each
-written down in closed form, then runs the feasibility core, which ends at a
-measurement or at a dual witness.  A NO comes from an exact criterion or
-carries a witness that verify_no_witness checks; a core that runs out its
-budget either way leaves UNKNOWN.
+most 2, pairs included, solved on qubits as given or on span coordinates
+lifted back), then tries to cover the ensemble with certified three-state
+measurements, each written down in closed form, then runs the feasibility
+core, which ends at a measurement or at a dual witness.  A NO comes from an
+exact criterion or carries a witness that verify_no_witness checks; a core
+that runs out its budget either way leaves UNKNOWN.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain, combinations
 
 import numpy as np
@@ -462,14 +462,6 @@ WITNESS_EVERY = 10   # core steps between two looks at the displacement
 STALL_STEPS = 50     # steps without a 1 % gain after which a restart is polished
 POLISH_AT = 1e-3     # residual below which a restart's first idle look polishes
 GIVE_UP_STEPS = 400  # steps without a 1 % gain after which a restart ends
-
-
-def _support_core(groups: list[list[np.ndarray]], dim: int, tol: float,
-                  restarts: int, iters: int, seed: int
-                  ) -> list[np.ndarray] | np.ndarray | None:
-    """The first answer of ``_core_answers``: the full-dimension elements (a
-    list), a witness Y (an array), or None when no restart closes either way."""
-    return next(_core_answers(groups, dim, tol, restarts, iters, seed), None)
 
 
 def _core_answers(groups: list[list[np.ndarray]], dim: int, tol: float,
@@ -1078,10 +1070,11 @@ def decide_antidist(ensemble, tol: float = DEFAULT_TOL, seed: int = 0,
     """Decide strong antidistinguishability of an ensemble of pure states.
 
     Routes: (1) exactly three states, the exact overlap criterion, with a
-    certified measurement on YES; (2) a span of rank at most 2 (``_span``):
-    ``qubit_antidist_lp`` on the span coordinates B^dag psi_j, B padded to two
-    columns at rank 1, exact as antidistinguishability depends only on the
-    Gram matrix, its answer lifted and checked again (``_lifted``); (3) four
+    certified measurement on YES; (2) a span of rank at most 2:
+    ``qubit_antidist_lp``, on the states themselves in C^2, else on the span
+    coordinates B^dag psi_j (``_span``), B padded to two columns at rank 1,
+    exact as antidistinguishability depends only on the Gram matrix, its
+    answer lifted and checked again (``_lifted``); (3) four
     or more states, the triple cover of ``_triple_cover``, its union
     accepted by one verify_strong call; (4) the feasibility core
     (``_search``), ending at a measurement that verify_strong accepts (YES,
@@ -1103,6 +1096,12 @@ def decide_antidist(ensemble, tol: float = DEFAULT_TOL, seed: int = 0,
                            detail=f"{which} fails")
         cert = povm_from_caves_triple(e.states, e.labels, layout=e.layout, tol=tol)
         return Verdict("YES", "caves", margins=margins, caves=rep, certificate=cert)
+
+    if e.layout.dim == 2:
+        v = qubit_antidist_lp(e.states, e.labels, tol=tol)
+        if v.certificate is not None:  # the same elements, on e's layout
+            v.certificate = replace(v.certificate, layout=e.layout)
+        return v
 
     kets = np.stack(e.states)
     rank, vh = _span(kets)

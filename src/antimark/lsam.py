@@ -2,9 +2,10 @@
 sequence measurements, and parameter-region sweeps for the tilted families.
 
 A task draws a non-repetitive length-n sequence from a parent ensemble and
-asks the parties to name m index sequences that did not occur.  For m = 1 the
-decision reduces to antidistinguishability of some party's local part; larger
-m is handled only by verifying explicit measurements.
+asks the parties to name m index sequences that did not occur.  check_lsam
+decides m = 1, and its single draw is the local antidistinguishability
+question of ``check-antidist --mode local``; larger m is handled only by
+verifying explicit measurements.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ import numpy as np
 
 from .ensembles import (NL2_PATTERN, Ensemble, _party_major, sequence_ensemble,
                         sequence_local_part, theta4)
-from .exclusion import (BOUNDARY_TOL, Povm, Verdict, _caves_inequalities, _support_core,
+from .exclusion import (BOUNDARY_TOL, Povm, Verdict, _caves_inequalities, _core_answers,
                         decide_antidist, exclusion_counts)
-from .locc import LoccProtocol, _mapped_outcomes, flatten_protocol, verify_local_protocol
+from .locc import (LoccProtocol, _mapped_outcomes, build_pairwise_lad_protocol,
+                   flatten_protocol, verify_local_protocol)
 from .qcore import DEFAULT_TOL, PartyLayout, kron
 
 THETA_WINDOW = math.sqrt(2.0) - 1.0  # positivity bound on cos(2 theta)
@@ -63,15 +65,18 @@ def lsam_scaling(big_n: int, n: int, m: int, n_prime: int) -> int:
 
 def check_lsam(task, n: int | None = None, m: int | None = None,
                tol: float = DEFAULT_TOL, seed: int = 0) -> Verdict:
-    """Single-claim sequence verdict through the parties' local parts.
-
-    Accepts an LsamTask or an (ensemble, n, m) triple.  Each party's local
-    part of the sequence ensemble goes through decide_antidist: any YES gives
-    YES (a party can locally name an absent sequence); all NO gives NO, valid
-    for full product parents; otherwise UNKNOWN.  Only m = 1 has a criterion,
-    and the parent must be a product ensemble.  The local parts come from the
-    parent's factors (sequence_local_part), so the sequence ensemble itself is
-    never built; its size limit still applies and raises the same ValueError.
+    """Single-claim (m = 1) verdict of an LsamTask or (ensemble, n, m) triple;
+    at n = 1 with two or more parties (a single draw), the local verdict.
+    Routes, in order: (1) a single draw of pairwise orthogonal states:
+    build_pairwise_lad_protocol, checked by verify_local_protocol
+    (RuntimeError if it fails), YES "pairwise_walgate"; (2) a product parent,
+    "local_part_criterion": each party's local part (sequence_local_part; the
+    sequence size limit raises ValueError) through decide_antidist.  Any YES
+    gives YES; all NO gives NO, an unproven rule: a one-round product protocol
+    that passes verify_local_protocol refutes it at duan4, n = 1 (the NO
+    stands for now); else UNKNOWN; (3) any other single draw: the NO of
+    decide_antidist, as a local protocol is one global measurement (witness
+    kept, "global NO: " detail), else UNKNOWN "exhausted"; (4) ValueError.
     """
     if isinstance(task, Ensemble):
         task = LsamTask(task, 1 if n is None else n, 1 if m is None else m)
@@ -80,11 +85,27 @@ def check_lsam(task, n: int | None = None, m: int | None = None,
     if task.m != 1:
         raise ValueError("no criterion for m > 1; verify an explicit protocol "
                          "with verify_sequence_elimination instead")
-    if not task.parent.is_product:
-        raise ValueError("the local-part criterion needs a product parent")
-    parts = {name: decide_antidist(sequence_local_part(task.parent, task.n, p),
-                                   tol=tol, seed=seed)
-             for p, name in enumerate(task.parent.layout.names)}
+    e = task.parent
+    single_draw = task.n == 1 and e.layout.n_parties >= 2
+    if single_draw and e.is_orthogonal:
+        rep = verify_local_protocol(e, build_pairwise_lad_protocol(e, tol=tol), tol=tol)
+        if not rep.passed:
+            raise RuntimeError("pairwise protocol failed verification: "
+                               + "; ".join(rep.failures))
+        return Verdict("YES", "pairwise_walgate",
+                       detail="orthogonal states: generated protocol verified")
+    if not e.is_product:
+        if not single_draw:
+            raise ValueError("the local-part criterion needs a product parent")
+        v = decide_antidist(e, tol=tol, seed=seed)
+        if v.decision == "NO":
+            v.detail = f"global NO: {v.detail}"
+            return v
+        return Verdict("UNKNOWN", "exhausted",
+                       detail="no local criterion for entangled non-orthogonal "
+                              f"states (global decision {v.decision})")
+    parts = {name: decide_antidist(sequence_local_part(e, task.n, p), tol=tol, seed=seed)
+             for p, name in enumerate(e.layout.names)}
     for name, v in parts.items():
         if v.decision == "YES":
             return Verdict("YES", "local_part_criterion", margins=list(v.margins),
@@ -242,7 +263,7 @@ def theta_global_measurement(theta: float, seed: int = 0,
         if _theta_family_ok(povm, ensemble, 1e-10):
             return ThetaMeasurement(theta, povm, PAIR_MAP, False, reflected)
     groups = [[ensemble.state_of(pat) for pat in pair] for pair in PAIR_MAP]
-    found = _support_core(groups, 4, 1e-10, 3, 4000, seed)
+    found = next(_core_answers(groups, 4, 1e-10, 3, 4000, seed), None)
     if isinstance(found, list):
         povm = Povm(layout, found, name=f"synthesized pair exclusion (theta={theta:g})")
         if _theta_family_ok(povm, ensemble, 1e-9):

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from antimark.cli import main
-from antimark.ensembles import nl1, parse_ensemble
+from antimark.ensembles import build_catalog, catalog, nl1, parse_ensemble
 from antimark.exclusion import verify_no_witness
 from antimark.locc import LoccProtocol, nl1_identification_povms, serialize_protocol
-from antimark.lsam import sweep_theta
+from antimark.lsam import check_lsam, sweep_theta
 
 
 @pytest.fixture(autouse=True)
@@ -93,6 +93,47 @@ def test_check_antidist_local_unknown_for_entangled_overlapping(capsys, tmp_path
     witness = np.array([[complex(re, im) for re, im in row]
                         for row in json.loads(out)["verdict"]["witness"]])
     assert verify_no_witness(parse_ensemble(path.read_text()), witness) > 0
+
+
+def test_check_lsam_single_draw_of_an_entangled_pair_is_the_local_no(capsys, tmp_path):
+    """A single draw of a non-product two-party parent is the local
+    question: check-lsam --n 1 gives the --mode local NO, witness and all."""
+    s = 2.0 ** -0.5
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"name": "tilted", "dims": [2, 2], "states": [
+        {"label": "a", "amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]]},
+        {"label": "b", "amplitudes": [[s, 0], [0, 0], [0, 0], [s, 0]]}]}))
+    verdicts = []
+    for command in (["check-antidist", "--mode", "local"], ["check-lsam", "--n", "1"]):
+        code, out = run(capsys, *command, "--ensemble", str(path), "--json")
+        assert code == 1
+        verdicts.append(json.loads(out)["verdict"])
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0]["detail"].startswith("global NO: ")
+    assert verdicts[0]["witness"] is not None
+
+
+LOCAL_PARAMS = {"theta4": {"theta": 0.9}, "nl2": {"theta": 1.0}}
+
+
+@pytest.mark.parametrize("name", [name for name, entry in catalog().items()
+                                  if len(entry["dims"]) >= 2])
+def test_one_answer_per_local_question(capsys, name):
+    """check_lsam(e, 1, 1), check-antidist --mode local and check-lsam --n 1
+    ask one question and give one answer: decision, method, the parties'
+    decisions and the exit code."""
+    params = LOCAL_PARAMS.get(name, {})
+    v = check_lsam(build_catalog(name, **params), 1, 1)
+    want = (v.decision, v.method,
+            {k: sub.decision for k, sub in (v.parts or {}).items()},
+            {"YES": 0, "NO": 1}.get(v.decision, 2))
+    flags = [arg for k, x in params.items() for arg in ("--param", f"{k}={x}")]
+    for command in (["check-antidist", "--mode", "local"], ["check-lsam", "--n", "1"]):
+        code, out = run(capsys, *command, "--ensemble", name, *flags, "--json")
+        doc = json.loads(out)["verdict"]
+        got = (doc["decision"], doc["method"],
+               {k: sub["decision"] for k, sub in (doc["parts"] or {}).items()}, code)
+        assert got == want, command
 
 
 def test_check_lsam_exit_codes(capsys):

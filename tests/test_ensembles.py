@@ -158,6 +158,22 @@ def test_sequence_repartition_is_party_major():
         np.testing.assert_allclose(seq.factors[lab][0], a, atol=1e-12)
 
 
+def test_sequences_of_an_entangled_parent_are_the_repartitioned_kron():
+    """bell4 has no factors, so its sequence kets are the two draws tensored
+    in order, (A1, B1, A2, B2), with the legs regrouped to (A1, A2, B1, B2):
+    12 mutually orthogonal states on dims (4, 4)."""
+    e = bell4()
+    seq = sequence_ensemble(e, 2)
+    assert not seq.is_product
+    assert (seq.n_states, seq.layout.dims) == (12, (4, 4))
+    for lab, (i, j) in zip(seq.labels, seq.index_tuples):
+        want = np.kron(e.states[i], e.states[j]).reshape(2, 2, 2, 2)
+        np.testing.assert_allclose(seq.state_of(lab), want.transpose(0, 2, 1, 3).reshape(16),
+                                   atol=1e-12)
+    kets = np.array(seq.states)
+    np.testing.assert_allclose(kets.conj() @ kets.T, np.eye(12), atol=1e-12)
+
+
 def test_sequence_of_length_one_matches_parent_states():
     e = su3()
     seq = sequence_ensemble(e, 1)
@@ -293,6 +309,17 @@ def test_restrict_orders_and_validates():
         restrict(e, ["D1", "NOPE"])
     with pytest.raises(ValueError):
         restrict(e, ["D1", "D1"])
+
+
+def test_restrict_keeps_the_states_of_an_entangled_ensemble():
+    e = bell4()
+    sub = restrict(e, ["Psi-", "Phi+"])
+    assert not sub.is_product and sub.layout == e.layout
+    assert sub.labels == ["Psi-", "Phi+"]
+    for lab, v in zip(sub.labels, sub.states):
+        np.testing.assert_array_equal(v, e.state_of(lab))
+    with pytest.raises(ValueError):
+        restrict(e, ["Phi+", "NOPE"])
 
 
 def test_parse_ensemble_roundtrip_amplitudes():

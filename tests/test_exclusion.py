@@ -13,9 +13,9 @@ from antimark import exclusion, qcore
 from antimark.ensembles import (Ensemble, bell4, bennett9, duan4, nl1, pbr4,
                                 restrict, sequence_ensemble, sequence_local_part,
                                 sic4, su3, theta4, trine3, weak3)
-from antimark.exclusion import (Povm, _block_stacks, _factored_jacobian,
+from antimark.exclusion import (Povm, _block_stacks, _core_answers, _factored_jacobian,
                                 _factored_residual, _hermitian_basis,
-                                _orthocomplement, _psd_project, _support_core,
+                                _orthocomplement, _psd_project,
                                 _triple_basis, _triple_cover, _triple_elements,
                                 _triple_screen,
                                 caves_criterion,
@@ -767,7 +767,7 @@ def test_batched_core_matches_the_per_block_loop(kind, seeds):
     outcomes = set()
     for seed in seeds:
         groups, dim = support_instance(kind, seed)
-        found = _support_core(groups, dim, 1e-9, 2, 600, seed)
+        found = next(_core_answers(groups, dim, 1e-9, 2, 600, seed), None)
         fast = found if isinstance(found, list) else None
         slow = loop_support_feasible(groups, dim, 1e-9, 2, 600, seed)
         assert (fast is None) == (slow is None), seed
@@ -780,8 +780,8 @@ def test_batched_core_matches_the_per_block_loop(kind, seeds):
 def test_support_spanning_the_whole_space_gets_a_zero_element():
     e0, e1 = np.eye(2, dtype=np.complex128)
     # the second element may only live on |1>, so completeness fails
-    assert _support_core([[e0, e1], [e0]], 2, 1e-10, 3, 4000, 0) is None
-    els = _support_core([[e0, e1], [e0], [e1]], 2, 1e-10, 3, 4000, 0)
+    assert next(_core_answers([[e0, e1], [e0]], 2, 1e-10, 3, 4000, 0), None) is None
+    els = next(_core_answers([[e0, e1], [e0], [e1]], 2, 1e-10, 3, 4000, 0), None)
     assert els is not None
     np.testing.assert_allclose(els[0], np.zeros((2, 2)), atol=0)
     np.testing.assert_allclose(els[1], np.diag([0.0, 1.0]), atol=1e-9)
@@ -1163,7 +1163,7 @@ def test_a_polished_point_with_a_dead_element_falls_through_to_the_next_restart(
         return np.zeros(len(table), dtype=bool)
 
     monkeypatch.setattr(exclusion, "fires", all_dead)
-    assert _support_core(groups, 3, 1e-9, 2, 1500, 0) is None
+    assert next(_core_answers(groups, 3, 1e-9, 2, 1500, 0), None) is None
     # each restart polishes twice, at its first idle look below POLISH_AT and
     # at its stall, and none of the four polished points counts
     assert len(seen) == 4
@@ -1178,7 +1178,7 @@ def test_a_polished_point_with_a_dead_element_falls_through_to_the_next_restart(
         return out
 
     monkeypatch.setattr(exclusion, "fires", dead_first)
-    els = _support_core(groups, 3, 1e-9, 2, 1500, 0)
+    els = next(_core_answers(groups, 3, 1e-9, 2, 1500, 0), None)
     # restart 0's early point fired everywhere but was reported dead, so the
     # restart ran on to its stall polish
     assert len(seen) == 2 and seen[0].all() and seen[1].all()
@@ -1189,7 +1189,7 @@ def test_a_polished_point_with_a_dead_element_falls_through_to_the_next_restart(
 
 def test_core_witness_bounds_every_compression():
     e = quartet(NO_QUARTETS[0])
-    y = _support_core([[s] for s in e.states], 3, 1e-9, 3, 4000, 0)
+    y = next(_core_answers([[s] for s in e.states], 3, 1e-9, 3, 4000, 0), None)
     assert isinstance(y, np.ndarray) and y.shape == (3, 3)
     assert np.trace(y).real == pytest.approx(1.0, abs=1e-12)
     top = max(np.linalg.eigvalsh(b.conj().T @ y @ b)[-1]
@@ -1366,3 +1366,41 @@ def test_boundary_qubit_nos_say_so_and_carry_no_witness():
         assert (v.decision, v.method) == ("NO", "qubit_lp")
         assert v.witness is None and "boundary" in v.detail
         assert len(v.margins) == 1 and abs(v.margins[0]) <= 1e-9
+
+
+def test_a_qubit_ensemble_is_decided_and_checked_once_where_it_lives(monkeypatch):
+    """An ensemble given in C^2 goes straight to the qubit program, with no
+    span coordinates and no lift: sic4's YES passes one verify_strong call
+    and pbr4's local part at n = 1 (|0>, |+>) one verify_no_witness call.
+    The certificate carries the ensemble's own layout and verifies there."""
+    calls = []
+
+    def counting(name):
+        check = getattr(exclusion, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return check(*args, **kwargs)
+        return counted
+
+    for name in ("verify_strong", "verify_no_witness"):
+        monkeypatch.setattr(exclusion, name, counting(name))
+    e = sic4()
+    v = decide_antidist(e)
+    assert (v.decision, v.method) == ("YES", "qubit_lp") and calls == ["verify_strong"]
+    assert v.certificate.layout == e.layout and v.certificate.labels == e.labels
+    calls.clear()
+    part = sequence_local_part(pbr4(), 1, "A")
+    v = decide_antidist(part)
+    assert (v.decision, v.method) == ("NO", "qubit_lp") and calls == ["verify_no_witness"]
+    monkeypatch.undo()
+    assert verify_strong(e, decide_antidist(e).certificate).passed
+    assert v.margins == [verify_no_witness(part, v.witness)] and v.margins[0] > 0
+
+
+def test_a_search_out_of_budget_ends_unknown_with_nothing_to_check():
+    """pbr4 has no exact route (four states of full span, no triple cover),
+    and ten core steps in one restart close neither way."""
+    v = decide_antidist(pbr4(), restarts=1, iters=10)
+    assert (v.decision, v.method) == ("UNKNOWN", "exhausted")
+    assert v.certificate is None and v.witness is None and v.margins == []

@@ -103,7 +103,7 @@ def test_the_search_entry_points_keep_their_parameters():
     def params(f):
         return [(p.name, p.default) for p in inspect.signature(f).parameters.values()]
     empty = inspect.Parameter.empty
-    assert params(exclusion._support_core) == params(exclusion._core_answers) == [
+    assert params(exclusion._core_answers) == [
         ("groups", empty), ("dim", empty), ("tol", empty), ("restarts", empty),
         ("iters", empty), ("seed", empty)]
     assert params(exclusion._search) == [
@@ -138,3 +138,15 @@ def test_one_qubit_weight_program():
              and (node.func.id if isinstance(node.func, ast.Name)
                   else getattr(node.func, "attr", None)) == "_min_weight_completion"]
     assert calls == ["exclusion._qubit_elements"]
+
+
+def test_the_command_line_decides_nothing_itself():
+    """check_lsam holds the local dispatch: cli.py reads neither is_orthogonal
+    nor is_product, and builds a pairwise protocol only for build-protocol."""
+    tree = parsed_modules()["cli"]
+    assert not {"is_orthogonal", "is_product"} & references(tree)
+    callers = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and (node.func.id if isinstance(node.func, ast.Name)
+                    else getattr(node.func, "attr", None)) == "build_pairwise_lad_protocol"]
+    assert callers == ["_cmd_build_protocol"]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antimark.ensembles import (Ensemble, bell4, bennett9,
-                                double_sic_antiparallel, nl1, nl2,
+                                double_sic_antiparallel, duan4, nl1, nl2,
                                 product_ensemble, sequence_ensemble)
 from antimark import locc
 from antimark.locc import (LoccProtocol, _rotation_phase,
@@ -20,7 +20,7 @@ from antimark.locc import (LoccProtocol, _rotation_phase,
                            verify_conclusive_identification,
                            verify_local_protocol, walgate_basis,
                            zero_diagonal_unitary)
-from antimark.qcore import PartyLayout
+from antimark.qcore import PartyLayout, density
 
 
 def haar(dim, rng):
@@ -286,6 +286,32 @@ def test_double_sic_protocol_single_sided():
     rep = verify_local_protocol(e, proto)
     assert rep.passed
     assert rep.completeness_residual <= 1e-10
+
+
+def duan4_product_readout() -> LoccProtocol:
+    """One round, no communication, for duan4 = |00>, |11>, |++>, |+i,-i>:
+    Alice reads Z, Bob reads X or Y at random.  Alice's 0 claims D2 and her 1
+    claims D1; Bob's - also claims D3, and +i after Alice's 1 also claims D4."""
+    h = 1.0 / math.sqrt(2.0)
+    alice = [density([1, 0]), density([0, 1])]
+    bob = [density(v) / 2.0 for v in ([h, -h], [h, h], [h, 1j * h], [h, -1j * h])]
+    table = {(a, b): ("D2",) if a == 0 else ("D1",) for a in range(2) for b in range(4)}
+    table[(0, 0)] += ("D3",)
+    table[(1, 0)] += ("D3",)
+    table[(1, 2)] += ("D4",)
+    return LoccProtocol("one_round_product", PartyLayout((2, 2)),
+                        party_povms=[alice, bob], exclusion_map=table,
+                        name="duan4 product readout")
+
+
+def test_a_product_readout_excludes_every_duan4_state():
+    """duan4 is locally antidistinguishable at n = 1, although both of its
+    local parts are (boundary) NOs: this protocol refutes check_lsam's rule
+    that all NO local parts give a local NO."""
+    rep = verify_local_protocol(duan4(), duan4_product_readout())
+    assert rep.passed and rep.sound
+    assert rep.excluded_labels == ("D1", "D2", "D3", "D4")
+    assert max(r.worst_residual for r in rep.rows) == 0.0
 
 
 def test_nl1_identification():

@@ -10,15 +10,16 @@ import numpy as np
 import pytest
 
 from antimark import lsam
-from antimark.ensembles import (bell4, bennett9, duan4, local_part, nl1, nl2,
+from antimark.ensembles import (Ensemble, bell4, bennett9, duan4, local_part, nl1, nl2,
                                 pbr4, sequence_ensemble, su3, theta4)
-from antimark.exclusion import (Povm, caves_criterion, decide_antidist,
-                                exclusion_counts, verify_strong)
+from antimark.exclusion import (Povm, Verdict, caves_criterion, decide_antidist,
+                                exclusion_counts, verify_no_witness, verify_strong)
 from antimark.locc import LoccProtocol, flatten_protocol
 from antimark.lsam import (LsamTask, check_lsam, lift_first_slot, lsam_scaling,
                            pbr_sequence_measurement, sweep_theta,
                            theta_global_measurement, theta_sequence_protocol,
                            verify_sequence_elimination)
+from antimark.qcore import PartyLayout
 
 THETA_LO = 0.5 * math.acos(math.sqrt(2.0) - 1.0)
 THETA_HI = math.pi / 2.0 - THETA_LO
@@ -87,6 +88,53 @@ def test_check_lsam_rejects_unsupported_tasks():
         check_lsam(bell4(), 2, 1)  # not a product parent
     with pytest.raises(ValueError):
         check_lsam(LsamTask(su3(), 2, 1), 2, 1)  # n alongside a task
+
+
+def entangled_pair() -> Ensemble:
+    """|00> and (|00> + |11>)/sqrt 2: entangled and not orthogonal."""
+    s = 2.0 ** -0.5
+    return Ensemble("pair", PartyLayout((2, 2)), ["a", "b"],
+                    [np.array([1, 0, 0, 0]), np.array([s, 0, 0, s])])
+
+
+def test_a_single_draw_of_orthogonal_states_gets_a_verified_pairwise_protocol():
+    for e in (bell4(), bennett9()):
+        v = check_lsam(e, 1, 1)
+        assert (v.decision, v.method, v.parts) == ("YES", "pairwise_walgate", None)
+
+
+def test_a_failing_pairwise_protocol_raises(monkeypatch):
+    class Failed:
+        passed = False
+        failures = ["outcome (0, 0) claims 'Phi+' but sees probability 5.000e-01"]
+
+    monkeypatch.setattr(lsam, "verify_local_protocol", lambda e, p, tol: Failed())
+    with pytest.raises(RuntimeError, match="pairwise protocol failed verification"):
+        check_lsam(bell4(), 1, 1)
+
+
+def test_a_single_draw_of_entangled_states_keeps_only_a_global_no(monkeypatch):
+    """A local protocol is one global measurement, so the global NO, with
+    its witness, is the local NO; a global YES says nothing locally."""
+    e = entangled_pair()
+    v = check_lsam(e, 1, 1)
+    assert (v.decision, v.method) == ("NO", "qubit_lp")
+    assert v.detail.startswith("global NO: ")
+    assert v.margins == [verify_no_witness(e, v.witness)] and v.margins[0] > 0
+    monkeypatch.setattr(lsam, "decide_antidist",
+                        lambda e, tol, seed: Verdict("YES", "qubit_lp"))
+    v = check_lsam(e, 1, 1)
+    assert (v.decision, v.method, v.parts) == ("UNKNOWN", "exhausted", None)
+    assert v.detail.endswith("(global decision YES)")
+
+
+def test_check_lsam_is_unknown_when_a_part_is_open_and_none_is_yes(monkeypatch):
+    answers = iter([Verdict("NO", "caves"), Verdict("UNKNOWN", "exhausted")])
+    monkeypatch.setattr(lsam, "decide_antidist", lambda e, tol, seed: next(answers))
+    v = check_lsam(su3(), 2, 1)
+    assert (v.decision, v.method) == ("UNKNOWN", "local_part_criterion")
+    assert {k: sub.decision for k, sub in v.parts.items()} == {"A": "NO", "B": "UNKNOWN"}
+    assert v.detail == "undecided local parts: B"
 
 
 LSAM_PARENTS = {"su3": su3, "pbr4": pbr4, "duan4": duan4, "nl1": nl1,
