@@ -200,8 +200,6 @@ def _cmd_check_antidist(args) -> int:
     if args.mode == "global":
         v = decide_antidist(e, tol=tol, seed=args.seed)
     else:
-        if e.layout.n_parties < 2:
-            raise DataError("local mode needs an ensemble with at least two parties")
         v = check_lsam(e, 1, 1, tol=tol, seed=args.seed)
     duration = time.perf_counter() - start
     report = {"command": "check-antidist", "ensemble": e.name, "mode": args.mode,

@@ -20,10 +20,12 @@ import numpy as np
 
 from .ensembles import Ensemble, check_norm, restrict
 from .qcore import (DEFAULT_TOL, PartyLayout, density, fires, mat_to_pairs,
-                    measurement_failures, outcome_table, same_up_to_phase)
+                    measurement_failures, outcome_table, real_if_exact,
+                    same_up_to_phase)
 from .simplex import simplex_maximize
 
 BOUNDARY_TOL = 1e-9
+SPAN_TOL = 1e-9      # singular values above it count toward the rank of a span
 SEARCH_TOL = 1e-8    # the least tolerance a search certificate is verified at
 PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
@@ -40,33 +42,45 @@ def _ket(s) -> np.ndarray:
 class Povm:
     """A labeled measurement: positive elements summing to the identity.
 
-    ``labels[i]`` names the state element ``i`` is dedicated to excluding, or
-    is None for bystander outcomes.
+    ``elements`` may be given as a list of d x d matrices or as one stack,
+    and is kept as one (n, d, d) complex128 stack, shared with the caller
+    when it already is one; its shape and finiteness are checked once, for
+    the whole stack.  ``labels[i]`` names the state element ``i`` is
+    dedicated to excluding, or is None for bystander outcomes.
     """
 
     layout: PartyLayout
-    elements: list[np.ndarray]
+    elements: np.ndarray
     labels: list[str | None] | None = None
     name: str = ""
 
     def __post_init__(self):
-        if not self.elements:
+        els = self.elements
+        if not isinstance(els, np.ndarray):
+            els = list(els)
+        if len(els) == 0:
             raise ValueError("a POVM needs at least one element")
         d = self.layout.dim
-        mats = []
-        for i, m in enumerate(self.elements):
-            m = np.asarray(m, dtype=np.complex128)
-            if m.shape != (d, d):
-                raise ValueError(f"element {i}: expected shape {(d, d)}, got {m.shape}")
-            if not np.all(np.isfinite(m)):
-                raise ValueError(f"element {i} has non-finite entries")
-            mats.append(m)
-        self.elements = mats
+        try:
+            stack = np.asarray(els, dtype=np.complex128)
+        except ValueError:   # ragged: the elements differ in shape
+            stack = None
+        if stack is None or stack.shape[1:] != (d, d):
+            for i, m in enumerate(els):   # the first bad element, in element order
+                m = np.asarray(m, dtype=np.complex128)
+                if m.shape != (d, d):
+                    raise ValueError(f"element {i}: expected shape {(d, d)}, got {m.shape}")
+                if not np.isfinite(m).all():
+                    raise ValueError(f"element {i} has non-finite entries")
+        bad = ~np.isfinite(stack).all(axis=(1, 2))
+        if bad.any():
+            raise ValueError(f"element {int(np.argmax(bad))} has non-finite entries")
+        self.elements = stack
         if self.labels is None:
-            self.labels = [None] * len(mats)
+            self.labels = [None] * len(stack)
         else:
             self.labels = list(self.labels)
-        if len(self.labels) != len(mats):
+        if len(self.labels) != len(stack):
             raise ValueError("labels and elements must have equal length")
 
     def to_dict(self) -> dict:
@@ -135,7 +149,9 @@ def verify_strong(e: Ensemble, m: Povm, tol: float = DEFAULT_TOL) -> StrongRepor
     redundant, nonzero ones must fire too.
 
     Structural defects raise ValueError: mismatched layouts, labels naming no
-    state, states with no dedicated element, non-Hermitian elements.
+    state, states with no dedicated element, non-Hermitian elements.  Whether
+    the elements are real is decided once (``qcore.real_if_exact``), and the
+    measurement check and the outcome table both run on that one stack.
     """
     if m.layout.dims != e.layout.dims:
         raise ValueError("POVM layout does not match the ensemble layout")
@@ -147,7 +163,7 @@ def verify_strong(e: Ensemble, m: Povm, tol: float = DEFAULT_TOL) -> StrongRepor
     missing = [lab for lab in e.labels if lab not in carried]
     if missing:
         raise ValueError(f"no element is dedicated to excluding: {missing}")
-    els = np.asarray(m.elements)
+    els = real_if_exact(m.elements)
     failures, comp, mineig = measurement_failures(els, tol)
     povm_ok = not failures
 
@@ -300,20 +316,22 @@ class Verdict:
 # span coordinates and the single-qubit weight program
 
 
-def _span(kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rank of the span of the kets (the rows of a stack; singular values
-    above 1e-9) and vh of one stacked SVD: the first rows b of vh are an
-    orthonormal span basis, and kets @ b^dag the span coordinates."""
-    _, svals, vh = np.linalg.svd(kets, full_matrices=False)
-    return np.sum(svals > 1e-9, axis=-1), vh
+def _span_rank(kets: np.ndarray) -> int:
+    """The rank of the span of the kets (the rows of a stack): the singular
+    values above SPAN_TOL, with no singular vectors computed."""
+    return int(np.sum(np.linalg.svd(kets, compute_uv=False) > SPAN_TOL))
 
 
 def _lift(b: np.ndarray, small: np.ndarray, k: int) -> np.ndarray:
     """Span-coordinate elements S (..., r, r) as B S B^dag + (I - B B^dag) / k,
     B = b^T for span basis rows b (..., r, d): the span's complement is split
-    evenly across the k elements, which keep their exclusions."""
+    evenly across the k elements, which keep their exclusions.  Computed as
+    B (S - I/k) B^dag on contiguous operands, with I/k then added to the
+    diagonal of the result in place."""
     r, d = b.shape[-2:]
-    return np.swapaxes(b, -1, -2) @ (small - np.eye(r) / k) @ b.conj() + np.eye(d) / k
+    out = np.ascontiguousarray(np.swapaxes(b, -1, -2)) @ (small - np.eye(r) / k) @ b.conj()
+    out.reshape(*out.shape[:-2], d * d)[..., ::d + 1] += 1.0 / k
+    return out
 
 
 def _min_weight_completion(projs: np.ndarray):
@@ -395,7 +413,7 @@ def qubit_antidist_lp(states, labels=None, tol: float = DEFAULT_TOL) -> Verdict:
     e = Ensemble("qubit set", PartyLayout((2,)), labels, list(vecs))
     t, alphas, els = _qubit_elements(vecs)
     if t is not None and t > tol:
-        povm = _accepted(e, list(els), "antipode witness", tol)
+        povm = _accepted(e, els, "antipode witness", tol)
         return Verdict("YES", "qubit_lp", margins=[t], alphas=alphas, certificate=povm,
                        detail=f"smallest completion weight {t:.6g}")
     y = _bloch_witness(vecs) if t is None or t < -tol else None
@@ -415,9 +433,9 @@ def compose_union(e: Ensemble, parts, tol: float = DEFAULT_TOL) -> Povm:
 
     ``parts`` is a list of (labels, Povm) pairs whose label sets must jointly
     cover every state.  Each sub-measurement is re-verified on its restricted
-    ensemble, then ``_union`` scales them by 1/len(parts) and concatenates
-    them with labels kept, so the result passes verify_strong on the full
-    ensemble by construction.  ``decide_antidist``'s triple cover assembles
+    ensemble, then ``_union`` concatenates them and scales them by
+    1/len(parts) with labels kept, so the result passes verify_strong on the
+    full ensemble by construction.  ``decide_antidist``'s triple cover assembles
     its union with ``_union`` too, and checks that union once, as a whole.
     """
     parts = list(parts)
@@ -433,17 +451,19 @@ def compose_union(e: Ensemble, parts, tol: float = DEFAULT_TOL) -> Povm:
         rep = verify_strong(restrict(e, labs), sub, tol=tol)
         if not rep.passed:
             raise ValueError(f"subset {list(labs)} fails verification: {rep.failures[:1]}")
-    return _union(e, [(sub.labels, sub.elements) for _, sub in parts])
+    return _union(e, [sub.labels for _, sub in parts], [sub.elements for _, sub in parts])
 
 
-def _union(e: Ensemble, parts) -> Povm:
-    """The sub-measurements of ``parts``, (labels, elements) pairs, each
-    scaled by 1/len(parts), as one labeled measurement on the ensemble's
-    layout."""
-    k = len(parts)
-    elements = [mat / k for _, els in parts for mat in els]
-    labels = [lab for labs, _ in parts for lab in labs]
-    return Povm(e.layout, elements, labels, name=f"union of {k} subsets")
+def _union(e: Ensemble, labels, stacks) -> Povm:
+    """The sub-measurements ``stacks``, a sequence of (m, d, d) element
+    stacks (or one (parts, m, d, d) array) labeled by the lists in
+    ``labels``, each scaled by 1/len(stacks), as one labeled measurement on
+    the ensemble's layout: one concatenation, scaled in place."""
+    k = len(stacks)
+    elements = np.concatenate(stacks)
+    elements /= k
+    return Povm(e.layout, elements, [lab for labs in labels for lab in labs],
+                name=f"union of {k} subsets")
 
 
 # ---------------------------------------------------------------------------
@@ -886,7 +906,8 @@ def _triple_elements(kets: np.ndarray, triples: np.ndarray, tol: float
     whose j-th element of a triple excludes its j-th ket, and which triples
     were built.
 
-    Each triple is solved inside the span of its kets (``_span``): a
+    Each triple is solved inside the span of its kets, read from one
+    stacked SVD (rank: singular values above SPAN_TOL; basis: rows of vh): a
     three-dimensional span takes the projectors onto the closed-form bases
     of one ``_triple_basis`` call over the whole stack (Caves, Fuchs and
     Schack, PRA 66, 062111, 2002), a two-dimensional one the antipode
@@ -895,7 +916,8 @@ def _triple_elements(kets: np.ndarray, triples: np.ndarray, tol: float
     whose elements come out non-finite is not built either.  Nothing is
     verified here: the callers check what they return."""
     stack = kets[triples]
-    rank, vh = _span(stack)
+    _, svals, vh = np.linalg.svd(stack, full_matrices=False)
+    rank = np.sum(svals > SPAN_TOL, axis=-1)
     ys = stack @ np.swapaxes(vh.conj(), -1, -2)   # the kets in span coordinates
     ys /= np.linalg.norm(ys, axis=-1, keepdims=True)
     small = np.zeros((len(stack), 3, 3, 3), dtype=np.complex128)
@@ -942,7 +964,7 @@ def povm_from_caves_triple(states, labels=None, layout: PartyLayout | None = Non
     els, built = _triple_elements(np.stack(vecs), np.array([[0, 1, 2]]), tol)
     if not built[0]:
         raise RuntimeError("no exclusion measurement found inside the span")
-    return _accepted(Ensemble("triple", layout, labels, vecs), list(els[0]),
+    return _accepted(Ensemble("triple", layout, labels, vecs), els[0],
                      "triple exclusion", tol)
 
 
@@ -967,7 +989,7 @@ def exclusion_counts(e: Ensemble, m: Povm, tol: float = DEFAULT_TOL) -> Exclusio
     """
     if m.layout.dims != e.layout.dims:
         raise ValueError("POVM layout does not match the ensemble layout")
-    els = np.asarray(m.elements)
+    els = real_if_exact(m.elements)
     failures, _, _ = measurement_failures(els, tol)
     if failures:
         raise ValueError(f"not a POVM: {'; '.join(failures)}")
@@ -1037,13 +1059,13 @@ def _triple_cover(e: Ensemble, tol: float
         if not built.all():
             alive[np.asarray(plan)[~built]] = False
             continue
-        parts = [([e.labels[i] for i in idx[t]], sub) for t, sub in zip(plan, els)]
-        union = _union(e, parts)
+        labels = [[e.labels[i] for i in idx[t]] for t in plan]
+        union = _union(e, labels, els)
         if verify_strong(e, union, tol=check_tol).passed:
             return ([tuple(idx[t].tolist()) for t in plan], union,
                     margins[plan].min(axis=0).tolist())
-        failing = [t for t, (labs, sub) in zip(plan, parts)
-                   if not verify_strong(restrict(e, labs), Povm(e.layout, list(sub), labs),
+        failing = [t for t, labs, sub in zip(plan, labels, els)
+                   if not verify_strong(restrict(e, labs), Povm(e.layout, sub, labs),
                                         tol=check_tol).passed]
         if not failing:
             return None
@@ -1056,8 +1078,8 @@ def _lifted(e: Ensemble, v: Verdict, b: np.ndarray, tol: float) -> Verdict:
     ensemble's space: its certificate, lifted by ``_lift``, must pass
     verify_strong, and its witness, lifted to B Y B^dag, needs a positive margin."""
     if v.certificate is not None:
-        els = _lift(b, np.asarray(v.certificate.elements), e.n_states)
-        v.certificate = _accepted(e, list(els), v.certificate.name, tol)
+        els = _lift(b, v.certificate.elements, e.n_states)
+        v.certificate = _accepted(e, els, v.certificate.name, tol)
     if v.witness is not None:
         y = b.T @ v.witness @ b.conj()
         margin = verify_no_witness(e, y)
@@ -1072,7 +1094,8 @@ def decide_antidist(ensemble, tol: float = DEFAULT_TOL, seed: int = 0,
     Routes: (1) exactly three states, the exact overlap criterion, with a
     certified measurement on YES; (2) a span of rank at most 2:
     ``qubit_antidist_lp``, on the states themselves in C^2, else on the span
-    coordinates B^dag psi_j (``_span``), B padded to two columns at rank 1,
+    coordinates B^dag psi_j (the rank from singular values alone, ``_span_rank``,
+    and B from an SVD taken only then), B padded to two columns at rank 1,
     exact as antidistinguishability depends only on the Gram matrix, its
     answer lifted and checked again (``_lifted``); (3) four
     or more states, the triple cover of ``_triple_cover``, its union
@@ -1104,9 +1127,8 @@ def decide_antidist(ensemble, tol: float = DEFAULT_TOL, seed: int = 0,
         return v
 
     kets = np.stack(e.states)
-    rank, vh = _span(kets)
-    if rank <= 2:
-        b = vh[:2]
+    if _span_rank(kets) <= 2:
+        b = np.linalg.svd(kets, full_matrices=False)[2][:2]
         return _lifted(e, qubit_antidist_lp(kets @ b.conj().T, e.labels, tol=tol), b, tol)
 
     if k >= 4:

@@ -67,15 +67,25 @@ class PartyLayout:
             raise KeyError(f"no party named {name!r} in {self.names}") from None
 
 
+def real_if_exact(a) -> np.ndarray:
+    """An array as a contiguous float64 array when its imaginary part is
+    exactly zero, else as complex128: a complex stack with a zero imaginary
+    part is the same real stack, and every product, sum and eigenvalue solve
+    on it runs faster in real arithmetic."""
+    a = np.asarray(a)
+    if not np.iscomplexobj(a):
+        return a.astype(np.float64, copy=False)
+    if a.imag.any():
+        return a.astype(np.complex128, copy=False)
+    return np.ascontiguousarray(a.real)
+
+
 def min_eigenvalue(mat: np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian matrix, or of a whole stack of them.
 
-    A complex stack whose imaginary part is exactly zero is the same real
-    symmetric stack, and goes to the real solver, which is faster."""
-    mat = np.asarray(mat)
-    if np.iscomplexobj(mat) and not mat.imag.any():
-        mat = mat.real
-    return float(np.min(np.linalg.eigvalsh(mat)[..., 0]))
+    A complex stack whose imaginary part is exactly zero goes to the real
+    solver (``real_if_exact``)."""
+    return float(np.min(np.linalg.eigvalsh(real_if_exact(mat))[..., 0]))
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -89,9 +99,10 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def outcome_table(elements, kets) -> np.ndarray:
     """Outcome probabilities p[k, s] = <psi_s|E_k|psi_s> as a real
-    outcomes x states array, one batched product for the whole table."""
-    els = np.asarray(elements, dtype=np.complex128)
-    vecs = np.asarray(kets, dtype=np.complex128)
+    outcomes x states array, one batched product for the whole table, in
+    real arithmetic when both the elements and the kets are real
+    (``real_if_exact``)."""
+    els, vecs = real_if_exact(elements), real_if_exact(kets)
     return ((els @ vecs.T) * vecs.conj().T).sum(axis=1).real
 
 
@@ -107,13 +118,20 @@ def povm_residuals(elements) -> tuple[np.ndarray, float, float]:
 
     Returns the per-element Hermiticity residuals max|E - E^dag|, the
     completeness residual max|sum E - I| and the smallest eigenvalue over the
-    Hermitian parts of all elements.
+    Hermitian parts of all elements.  Whether the stack is real is decided
+    once (``real_if_exact``), and every step runs on that one real or
+    complex stack.
     """
-    els = np.asarray(elements, dtype=np.complex128)
-    adj = els.conj().transpose(0, 2, 1)
-    herm = np.max(np.abs(els - adj), axis=(1, 2))
+    els = real_if_exact(elements)
+    adj = els.swapaxes(1, 2)
+    if np.iscomplexobj(els):
+        adj = adj.conj()
+    work = els - adj
+    herm = np.max(np.abs(work), axis=(1, 2))
     comp = float(np.max(np.abs(els.sum(axis=0) - np.eye(els.shape[1]))))
-    return herm, comp, min_eigenvalue((els + adj) / 2)
+    sym = np.add(els, adj, out=work)
+    sym *= 0.5
+    return herm, comp, min_eigenvalue(sym)
 
 
 def measurement_failures(elements, tol: float) -> tuple[list[str], float, float]:

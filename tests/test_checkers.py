@@ -4,7 +4,7 @@ rejects a bad measurement the same way."""
 import numpy as np
 import pytest
 
-from antimark.ensembles import theta4, trine3
+from antimark.ensembles import Ensemble, pbr4, sequence_ensemble, theta4, trine3
 from antimark.exclusion import Povm, decide_antidist, exclusion_counts, verify_strong
 from antimark.locc import (LoccProtocol, verify_conclusive_identification,
                            verify_local_protocol)
@@ -92,3 +92,50 @@ def test_every_checker_rejects_a_bad_measurement(defect):
     assert _theta_family_ok(good, tilted, 1e-10)
     bad = Povm(tilted.layout, _spoil(good.elements, defect))
     assert not _theta_family_ok(bad, tilted, 1e-10)
+
+
+def test_the_real_and_the_complex_route_check_alike(monkeypatch):
+    """pbr4^[2]'s union is real, so its check runs in real arithmetic; the
+    same union and states conjugated by a diagonal phase unitary U are
+    complex and take the complex route.  Both give the same completeness
+    residual, smallest eigenvalue and exclusion residuals, and both reject
+    each of the three defects of ``_spoil``."""
+    e = sequence_ensemble(pbr4(), 2)
+    cert = decide_antidist(e).certificate
+    assert not cert.elements.imag.any()
+    u = np.exp(1j * np.linspace(0.3, 2.9, e.layout.dim))
+    turned = Ensemble("phased", e.layout, list(e.labels), [u * s for s in e.states])
+
+    def conjugated(els):
+        return [u[:, None] * m * u.conj()[None, :] for m in els]
+
+    solved = []
+    solver = np.linalg.eigvalsh
+
+    def recording(mat):
+        solved.append(mat.dtype)
+        return solver(mat)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    real = verify_strong(e, cert)
+    cplx = verify_strong(turned, Povm(e.layout, conjugated(cert.elements), cert.labels))
+    assert solved == [np.float64, np.complex128]
+    assert real.passed and cplx.passed
+    assert cplx.completeness_residual == pytest.approx(real.completeness_residual, abs=1e-12)
+    assert cplx.min_eigenvalue == pytest.approx(real.min_eigenvalue, abs=1e-12)
+    for a, b in zip(real.outcomes, cplx.outcomes):
+        assert b.exclusion_residual == pytest.approx(a.exclusion_residual, abs=1e-12)
+        assert b.firing == pytest.approx(a.firing, abs=1e-12)
+
+    for defect in DEFECTS:
+        for ens, els in ((e, _spoil(cert.elements, defect)),
+                         (turned, conjugated(_spoil(cert.elements, defect)))):
+            povm = Povm(e.layout, els, cert.labels)
+            if defect == "non-hermitian":
+                with pytest.raises(ValueError, match="not Hermitian"):
+                    verify_strong(ens, povm)
+            else:
+                rep = verify_strong(ens, povm)
+                assert not rep.passed and not rep.povm_ok
+            with pytest.raises(ValueError):
+                exclusion_counts(ens, povm)

@@ -116,12 +116,12 @@ def test_check_lsam_single_draw_of_an_entangled_pair_is_the_local_no(capsys, tmp
 LOCAL_PARAMS = {"theta4": {"theta": 0.9}, "nl2": {"theta": 1.0}}
 
 
-@pytest.mark.parametrize("name", [name for name, entry in catalog().items()
-                                  if len(entry["dims"]) >= 2])
+@pytest.mark.parametrize("name", list(catalog()))
 def test_one_answer_per_local_question(capsys, name):
     """check_lsam(e, 1, 1), check-antidist --mode local and check-lsam --n 1
     ask one question and give one answer: decision, method, the parties'
-    decisions and the exit code."""
+    decisions and the exit code, for single-party ensembles too, whose one
+    local part is the ensemble itself."""
     params = LOCAL_PARAMS.get(name, {})
     v = check_lsam(build_catalog(name, **params), 1, 1)
     want = (v.decision, v.method,

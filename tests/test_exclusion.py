@@ -14,7 +14,7 @@ from antimark.ensembles import (Ensemble, bell4, bennett9, duan4, nl1, pbr4,
                                 restrict, sequence_ensemble, sequence_local_part,
                                 sic4, su3, theta4, trine3, weak3)
 from antimark.exclusion import (Povm, _block_stacks, _core_answers, _factored_jacobian,
-                                _factored_residual, _hermitian_basis,
+                                _factored_residual, _hermitian_basis, _lift,
                                 _orthocomplement, _psd_project,
                                 _triple_basis, _triple_cover, _triple_elements,
                                 _triple_screen,
@@ -193,6 +193,87 @@ def test_verify_strong_flags_an_unlabeled_element_that_never_fires():
     assert rep.povm_ok and rep.condition1_ok and not rep.condition2_ok
     assert not rep.passed
     assert rep.failures == ["unlabeled element 3 never fires"]
+
+
+def test_a_povm_keeps_one_complex_stack_from_a_list_or_a_stack():
+    """Real matrices given as a list and as a stack are kept as the same
+    (n, d, d) complex128 stack; a complex128 stack is kept as given."""
+    mats = [np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])]
+    lay = PartyLayout((3,))
+    from_list = Povm(lay, mats).elements
+    from_stack = Povm(lay, np.array(mats)).elements
+    for els in (from_list, from_stack):
+        assert isinstance(els, np.ndarray)
+        assert els.dtype == np.complex128 and els.shape == (3, 3, 3)
+    assert np.array_equal(from_list, from_stack)
+    assert Povm(lay, from_list).elements is from_list
+
+
+@pytest.mark.parametrize("elements, message", [
+    ([], "a POVM needs at least one element"),
+    ([np.eye(3), np.eye(2), np.eye(3)], r"element 1: expected shape \(3, 3\), got \(2, 2\)"),
+    ([np.eye(3), np.ones(3)], r"element 1: expected shape \(3, 3\), got \(3,\)"),
+    ([1.0, 2.0], r"element 0: expected shape \(3, 3\), got \(\)"),
+    ([np.eye(3), np.eye(3), np.full((3, 3), np.nan)], "element 2 has non-finite entries"),
+    ([np.eye(3), np.diag([np.inf, 0.0, 0.0])], "element 1 has non-finite entries"),
+    ([np.full((3, 3), np.nan), np.eye(4)], "element 0 has non-finite entries"),
+    ([np.eye(4), np.full((3, 3), np.nan)], r"element 0: expected shape \(3, 3\), got \(4, 4\)"),
+    (np.zeros((2, 3, 4)), r"element 0: expected shape \(3, 3\), got \(3, 4\)"),
+])
+def test_a_povm_names_its_first_bad_element(elements, message):
+    """Shape and finiteness are checked for the whole stack at once, and the
+    error names the first bad element, in element order, as a per-element
+    loop would: a non-finite element before a misshapen one is reported."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Povm(PartyLayout((3,)), elements)
+
+
+def test_the_pbr4_three_draw_certificate_passes_a_plain_numpy_check():
+    """The triple cover of pbr4 with three draws, 24 states in C^64, checked
+    with numpy alone, element by element: Hermitian, positive by eigvalsh,
+    complete, each element annihilating the state its label names, and for
+    every state a dedicated element that fires."""
+    e = sequence_ensemble(pbr4(), 3)
+    v = decide_antidist(e)
+    assert (v.decision, v.method) == ("YES", "triple_cover")
+    els = np.array(v.certificate.elements)
+    kets = np.array(e.states)
+    assert els.shape == (24, 64, 64)
+    assert np.max(np.abs(els.sum(axis=0) - np.eye(64))) <= 1e-10
+    fired = set()
+    for el, lab in zip(els, v.certificate.labels):
+        assert np.max(np.abs(el - el.conj().T)) <= 1e-10
+        assert np.linalg.eigvalsh((el + el.conj().T) / 2).min() >= -1e-10
+        psi = kets[e.labels.index(lab)]
+        assert abs(np.vdot(psi, el @ psi)) <= 1e-10
+        if sum(np.vdot(phi, el @ phi).real for phi in kets) > 1e-9:
+            fired.add(lab)
+    assert fired == set(e.labels)
+
+
+def _old_lift(b, small, k):
+    r, d = b.shape[-2:]
+    return np.swapaxes(b, -1, -2) @ (small - np.eye(r) / k) @ b.conj() + np.eye(d) / k
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_lift_matches_the_broadcast_formula(r):
+    """``_lift``, which adds I/k to the diagonal in place, equals
+    B^T (S - I/k) conj(B) + I/k on random complex stacks: one basis per
+    stack of elements, the (n, 1, r, d) broadcast of ``_triple_elements``
+    and the single basis of ``_lifted``."""
+    rng = np.random.default_rng(20 + r)
+    d, n, k = 7, 5, 3
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    bases = np.swapaxes(np.linalg.qr(cplx(n, d, r))[0], -1, -2)   # (n, r, d), orthonormal rows
+    for b, small, parts in ((bases, cplx(n, r, r), k),
+                            (bases[:, None], cplx(n, k, r, r), k),
+                            (bases[0], cplx(6, r, r), 6)):
+        got = _lift(b, small, parts)
+        np.testing.assert_allclose(got, _old_lift(b, small, parts), rtol=0, atol=1e-14)
 
 
 @lru_cache(maxsize=None)
