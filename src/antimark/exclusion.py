@@ -1,19 +1,20 @@
 """Strong exclusion measurements: certificates, exact criteria, search, decision.
 
 The decision routine prefers exact criteria (the three-state overlap test,
-and the single-qubit weight program for any ensemble whose span has rank at
-most 2, pairs included, solved on qubits as given or on span coordinates
-lifted back), then tries to cover the ensemble with certified three-state
-measurements, each written down in closed form, then runs the feasibility
-core, which ends at a measurement or at a dual witness.  A NO comes from an
-exact criterion or carries a witness that verify_no_witness checks; a core
-that runs out its budget either way leaves UNKNOWN.
+and one qubit route for any ensemble whose span has rank at most 2, pairs
+included: the single-qubit weight program on the kets or their span
+coordinates, its answer lifted and checked once, on the ensemble), then
+tries to cover the ensemble with certified three-state measurements, each
+written down in closed form, then runs the feasibility core, which ends at
+a measurement or at a dual witness.  A NO comes from an exact criterion or
+carries a witness that verify_no_witness checks; a core that runs out its
+budget either way leaves UNKNOWN.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain, combinations
 
 import numpy as np
@@ -334,40 +335,37 @@ def _lift(b: np.ndarray, small: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _min_weight_completion(projs: np.ndarray):
-    """Maximize the smallest weight t with sum_i (s_i + t) P_i = I, s_i >= 0,
-    for a (r, 2, 2) stack of projectors read in R^4: the weights s_i + t and
-    t, or (None, None) when the program is infeasible."""
-    r = len(projs)
-    cols = np.array([projs[:, 0, 0].real, projs[:, 1, 1].real,
-                     projs[:, 0, 1].real, projs[:, 0, 1].imag])
-    total = cols.sum(axis=1, keepdims=True)
-    res = simplex_maximize(np.r_[np.zeros(r), 1.0, -1.0], np.hstack([cols, total, -total]),
-                           np.array([1.0, 1.0, 0.0, 0.0]))
-    if res.status == "infeasible":
-        return None, None
-    if res.status != "optimal":
-        raise RuntimeError(f"weight program ended with status {res.status!r}")
-    t = float(res.value)
-    return [float(x) + t for x in res.x[:r]], t
-
-
 def _qubit_elements(vecs: np.ndarray):
     """The weight program on kets in C^2 (rows; equal ones up to phase merged,
-    their weight split evenly): its optimum t, the weights alpha_j and the
-    antipode elements max(alpha_j, 0) (I - |psi_j><psi_j|), or three Nones
-    when infeasible.  Both qubit_antidist_lp and _triple_elements build here."""
+    their weight split evenly): the largest t with sum_i (s_i + t) P_i = I,
+    s_i >= 0, over the distinct projectors P_i read in R^4, the weights
+    alpha_j and the antipode elements max(alpha_j, 0) (I - |psi_j><psi_j|),
+    or three Nones when infeasible.  The qubit route, ``_qubit_verdict``, is
+    its one caller."""
     reps, owner = [], []
     for v in vecs:
         owner.append(next((r for r, w in enumerate(reps) if same_up_to_phase(v, w)), len(reps)))
         if owner[-1] == len(reps):
             reps.append(v)
-    weights, t = _min_weight_completion(np.array([density(v) for v in reps]))
-    if t is None:
+    projs = np.array([density(v) for v in reps])
+    cols = np.array([projs[:, 0, 0].real, projs[:, 1, 1].real,
+                     projs[:, 0, 1].real, projs[:, 0, 1].imag])
+    total = cols.sum(axis=1, keepdims=True)
+    res = simplex_maximize(np.r_[np.zeros(len(reps)), 1.0, -1.0],
+                           np.hstack([cols, total, -total]), np.array([1.0, 1.0, 0.0, 0.0]))
+    if res.status == "infeasible":
         return None, None, None
-    alphas = [weights[r] / owner.count(r) for r in owner]
+    if res.status != "optimal":
+        raise RuntimeError(f"weight program ended with status {res.status!r}")
+    t = float(res.value)
+    alphas = [(float(res.x[r]) + t) / owner.count(r) for r in owner]
     return t, alphas, np.array([max(a, 0.0) * (np.eye(2) - density(v))
                                 for a, v in zip(alphas, vecs)])
+
+
+def _bloch(vecs: np.ndarray) -> np.ndarray:
+    """Bloch vectors of unit kets in C^2, both on the last axis."""
+    return np.einsum("...a,sab,...b->...s", vecs.conj(), PAULI, vecs).real
 
 
 def _bloch_witness(vecs: np.ndarray) -> np.ndarray | None:
@@ -376,7 +374,7 @@ def _bloch_witness(vecs: np.ndarray) -> np.ndarray | None:
     c = min_j u.n_j > 0, Y = (1 - sqrt(1 - c^2)) I / 2 + c u.sigma / 2, since
     |c u - n_j|^2 <= 1 - c^2 bounds the eigenvalues of Y - rho_j by 0.  p is
     solved in closed form on every vertex, edge and triangle, all at once."""
-    n = np.einsum("ja,sab,jb->js", vecs.conj(), PAULI, vecs).real
+    n = _bloch(vecs)
     points = [n]
     for m in range(2, min(len(n), 3) + 1):
         idx = np.array(list(combinations(range(len(n)), m)), dtype=np.intp)
@@ -405,21 +403,36 @@ def qubit_antidist_lp(states, labels=None, tol: float = DEFAULT_TOL) -> Verdict:
     infeasible, has a Bloch hull that misses the origin and carries the
     witness of ``_bloch_witness``, its margin as margins[0]; any other NO is
     a boundary NO (the hull reaches the origin), with the optimum and no
-    witness.  The states and labels must make a single-qubit Ensemble
-    (ValueError otherwise).
+    witness.  This is decide_antidist's qubit route on the single-qubit
+    Ensemble of the states and labels (ValueError if they make none).
     """
     vecs = np.stack([_ket(s) for s in states])
     labels = [f"s{i}" for i in range(len(vecs))] if labels is None else list(labels)
-    e = Ensemble("qubit set", PartyLayout((2,)), labels, list(vecs))
+    return _qubit_verdict(Ensemble("qubit set", PartyLayout((2,)), labels, list(vecs)),
+                          vecs, None, tol)
+
+
+def _qubit_verdict(e: Ensemble, vecs: np.ndarray, b: np.ndarray | None,
+                   tol: float) -> Verdict:
+    """The qubit route: the weight program on kets in C^2 (rows), e's states
+    or their span coordinates for span basis rows b (2, d), which lift the
+    answer into e's space.  Each answer is checked once, on e: a certificate
+    (lifted by ``_lift``) by ``_accepted``, a Bloch witness (lifted to
+    B Y B^dag) by its margin; a lifted witness that fails leaves a bare NO."""
     t, alphas, els = _qubit_elements(vecs)
     if t is not None and t > tol:
-        povm = _accepted(e, els, "antipode witness", tol)
-        return Verdict("YES", "qubit_lp", margins=[t], alphas=alphas, certificate=povm,
+        els = els if b is None else _lift(b, els, e.n_states)
+        return Verdict("YES", "qubit_lp", margins=[t], alphas=alphas,
+                       certificate=_accepted(e, els, "antipode witness", tol),
                        detail=f"smallest completion weight {t:.6g}")
     y = _bloch_witness(vecs) if t is None or t < -tol else None
-    if y is not None and (margin := verify_no_witness(e, y)) > 0.0:
-        return Verdict("NO", "qubit_lp", margins=[margin], alphas=alphas, witness=y,
-                       detail="the hull of the Bloch vectors misses the origin")
+    if y is not None:
+        y = y if b is None else b.T @ y @ b.conj()
+        margin = verify_no_witness(e, y)
+        if margin > 0.0 or b is not None:
+            return Verdict("NO", "qubit_lp", margins=[margin] if margin > 0.0 else [],
+                           alphas=alphas, witness=y if margin > 0.0 else None,
+                           detail="the hull of the Bloch vectors misses the origin")
     return Verdict("NO", "qubit_lp", margins=[] if t is None else [t], alphas=alphas,
                    detail="boundary: the hull of the Bloch vectors reaches the origin")
 
@@ -749,14 +762,14 @@ def search_exclusion_povm(e: Ensemble, restarts: int = 3, iters: int = 4000,
 
 
 def _search(e: Ensemble, restarts: int, iters: int, seed: int,
-            check_tol: float) -> Povm | np.ndarray | None:
+            check_tol: float) -> Povm | tuple[np.ndarray, float] | None:
     """The core on the ensemble's single-state supports: a measurement that
     passes verify_strong at check_tol, the first witness of the core that
     ``_states_witness`` takes to a verify_no_witness margin above check_tol,
-    or None.  The core runs on past a witness whose margin falls short,
-    since an early look can see a displacement that has not settled; once
-    two such margins in a row agree within 1 %, the displacement has
-    settled below check_tol and the search ends."""
+    with that margin, or None.  The core runs on past a witness whose margin
+    falls short, since an early look can see a displacement that has not
+    settled; once two such margins in a row agree within 1 %, the
+    displacement has settled below check_tol and the search ends."""
     last = None
     for found in _core_answers([[s] for s in e.states], e.layout.dim,
                                check_tol / 10, restarts, iters, seed):
@@ -766,7 +779,7 @@ def _search(e: Ensemble, restarts: int, iters: int, seed: int,
         y = _states_witness(e, found)
         margin = verify_no_witness(e, y)
         if margin > check_tol:
-            return y
+            return y, margin
         if last is not None and abs(margin - last) <= 0.01 * abs(last):
             return None
         last = margin
@@ -910,9 +923,12 @@ def _triple_elements(kets: np.ndarray, triples: np.ndarray, tol: float
     stacked SVD (rank: singular values above SPAN_TOL; basis: rows of vh): a
     three-dimensional span takes the projectors onto the closed-form bases
     of one ``_triple_basis`` call over the whole stack (Caves, Fuchs and
-    Schack, PRA 66, 062111, 2002), a two-dimensional one the antipode
-    elements of ``_qubit_elements``, and is not built when that program
-    finds no completion; ``_lift`` with k = 3 carries both back.  A triple
+    Schack, PRA 66, 062111, 2002).  A two-dimensional one takes the antipode
+    elements max(alpha_j, 0) (I - |y_j><y_j|) of its qubit kets y_j, whose
+    weights, the kets being distinct, solve [1; n_j] alpha = (2, 0, 0, 0)
+    uniquely, n_j their Bloch vectors: one batched pseudo-inverse for all
+    such triples, each built when its system is consistent within tol and
+    min alpha > -tol.  ``_lift`` with k = 3 carries both back.  A triple
     whose elements come out non-finite is not built either.  Nothing is
     verified here: the callers check what they return."""
     stack = kets[triples]
@@ -922,18 +938,19 @@ def _triple_elements(kets: np.ndarray, triples: np.ndarray, tol: float
     ys /= np.linalg.norm(ys, axis=-1, keepdims=True)
     small = np.zeros((len(stack), 3, 3, 3), dtype=np.complex128)
     built = np.ones(len(stack), dtype=bool)
-    if (rank == 3).any():
-        f = _triple_basis(ys[rank == 3])
-        small[rank == 3] = f[..., :, None] * f.conj()[..., None, :]
-    for t in np.flatnonzero(rank < 3):
-        try:
-            best, _, qels = _qubit_elements(ys[t, :, :2])
-        except RuntimeError:   # a program that ends neither optimal nor infeasible
-            best = None
-        built[t] = best is not None and best > -tol
-        if built[t]:
-            small[t, :, :2, :2] = qels
-            small[t, :, 2, 2] = 1.0 / 3.0   # the third basis row lies outside the span
+    full = rank == 3
+    if full.any():
+        f = _triple_basis(ys[full])
+        small[full] = f[..., :, None] * f.conj()[..., None, :]
+    if not full.all():
+        q = ys[~full, :, :2]
+        a = np.concatenate([np.ones((len(q), 1, 3)), np.swapaxes(_bloch(q), -1, -2)], axis=-2)
+        alpha = np.linalg.pinv(a) @ [2.0, 0.0, 0.0, 0.0]
+        miss = np.abs(np.einsum("tij,tj->ti", a, alpha) - [2.0, 0.0, 0.0, 0.0]).max(axis=-1)
+        built[~full] = (miss <= tol) & (alpha.min(axis=-1) > -tol)
+        small[~full, :, :2, :2] = (np.maximum(alpha, 0.0)[..., None, None]
+                                   * (np.eye(2) - q[..., :, None] * q.conj()[..., None, :]))
+        small[~full, :, 2, 2] = 1.0 / 3.0   # the third basis row lies outside the span
     r = vh.shape[-2]   # 3, or 2 for qubit kets
     els = _lift(vh[:, None], small[..., :r, :r], 3)
     return els, built & np.isfinite(els).all(axis=(1, 2, 3))
@@ -947,12 +964,12 @@ def povm_from_caves_triple(states, labels=None, layout: PartyLayout | None = Non
     The one-triple case of ``_triple_elements``, the builder the triple
     cover of ``decide_antidist`` runs on all its triples at once: the
     projectors onto a closed-form basis, each orthogonal to its state, on a
-    three-dimensional span, and the single-qubit program's antipode elements
-    on a two-dimensional one.  The result must pass verify_strong at
-    max(tol, 1e-10), and a RuntimeError reports a weight program that finds
-    no completion or a certificate that fails.  A triple that fails the
-    criterion, or holds a ket whose norm is not 1 within 1e-9, raises
-    ValueError.
+    three-dimensional span, and the antipode elements of the closed-form
+    qubit weights on a two-dimensional one.  The result must pass
+    verify_strong at max(tol, 1e-10), and a RuntimeError reports qubit
+    weights that do not complete or a certificate that fails.  A triple
+    that fails the criterion, or holds a ket whose norm is not 1 within
+    1e-9, raises ValueError.
     """
     vecs = [_ket(s) for s in states]
     rep = caves_criterion(vecs, boundary_tol=tol)
@@ -1073,31 +1090,17 @@ def _triple_cover(e: Ensemble, tol: float
     return None
 
 
-def _lifted(e: Ensemble, v: Verdict, b: np.ndarray, tol: float) -> Verdict:
-    """A verdict on the span coordinates kets @ b^dag, checked again in the
-    ensemble's space: its certificate, lifted by ``_lift``, must pass
-    verify_strong, and its witness, lifted to B Y B^dag, needs a positive margin."""
-    if v.certificate is not None:
-        els = _lift(b, v.certificate.elements, e.n_states)
-        v.certificate = _accepted(e, els, v.certificate.name, tol)
-    if v.witness is not None:
-        y = b.T @ v.witness @ b.conj()
-        margin = verify_no_witness(e, y)
-        v.witness, v.margins = (y, [margin]) if margin > 0.0 else (None, [])
-    return v
-
-
 def decide_antidist(ensemble, tol: float = DEFAULT_TOL, seed: int = 0,
                     restarts: int = 3, iters: int = 4000) -> Verdict:
     """Decide strong antidistinguishability of an ensemble of pure states.
 
     Routes: (1) exactly three states, the exact overlap criterion, with a
-    certified measurement on YES; (2) a span of rank at most 2:
-    ``qubit_antidist_lp``, on the states themselves in C^2, else on the span
-    coordinates B^dag psi_j (the rank from singular values alone, ``_span_rank``,
-    and B from an SVD taken only then), B padded to two columns at rank 1,
-    exact as antidistinguishability depends only on the Gram matrix, its
-    answer lifted and checked again (``_lifted``); (3) four
+    certified measurement on YES; (2) a span of rank at most 2: the qubit
+    route ``_qubit_verdict``, on the states themselves in C^2, else on the
+    span coordinates B^dag psi_j (the rank from singular values alone,
+    ``_span_rank``, and B from an SVD taken only then), B padded to two
+    columns at rank 1, exact as antidistinguishability depends only on the
+    Gram matrix, its answer lifted and checked once, on the ensemble; (3) four
     or more states, the triple cover of ``_triple_cover``, its union
     accepted by one verify_strong call; (4) the feasibility core
     (``_search``), ending at a measurement that verify_strong accepts (YES,
@@ -1120,16 +1123,12 @@ def decide_antidist(ensemble, tol: float = DEFAULT_TOL, seed: int = 0,
         cert = povm_from_caves_triple(e.states, e.labels, layout=e.layout, tol=tol)
         return Verdict("YES", "caves", margins=margins, caves=rep, certificate=cert)
 
-    if e.layout.dim == 2:
-        v = qubit_antidist_lp(e.states, e.labels, tol=tol)
-        if v.certificate is not None:  # the same elements, on e's layout
-            v.certificate = replace(v.certificate, layout=e.layout)
-        return v
-
     kets = np.stack(e.states)
+    if e.layout.dim == 2:
+        return _qubit_verdict(e, kets, None, tol)
     if _span_rank(kets) <= 2:
         b = np.linalg.svd(kets, full_matrices=False)[2][:2]
-        return _lifted(e, qubit_antidist_lp(kets @ b.conj().T, e.labels, tol=tol), b, tol)
+        return _qubit_verdict(e, kets @ b.conj().T, b, tol)
 
     if k >= 4:
         cover = _triple_cover(e, tol)
@@ -1145,8 +1144,9 @@ def decide_antidist(ensemble, tol: float = DEFAULT_TOL, seed: int = 0,
         return Verdict("YES", "search", margins=[], certificate=found,
                        detail="feasibility search certificate")
     if found is not None:
-        return Verdict("NO", "witness", margins=[verify_no_witness(e, found)],
-                       witness=found, detail="dual witness from the feasibility core")
+        y, margin = found
+        return Verdict("NO", "witness", margins=[margin], witness=y,
+                       detail="dual witness from the feasibility core")
 
     return Verdict("UNKNOWN", "exhausted", margins=[],
                    detail="exact criteria do not apply and the search budget "

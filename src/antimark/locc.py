@@ -2,7 +2,7 @@
 
 A protocol is a shallow tree of local measurements flattened into global
 product elements for checking: one simultaneous round of per-party POVMs, a
-two-round sequence where the first party's outcome picks the responders'
+two-round sequence where one party's outcome picks the other party's
 measurement, or a shared-randomness mixture of such protocols.  An exclusion
 map assigns each flattened outcome the state labels it claims to rule out.
 """
@@ -64,16 +64,15 @@ class LoccProtocol:
             self.party_povms = [[_mat(m, d, f"party {p} element") for m in povm]
                                 for p, (povm, d) in enumerate(zip(self.party_povms, dims))]
         elif self.kind == "two_round_sequential":
-            if len(dims) < 2:
-                raise ValueError("two-round protocol needs at least two parties")
+            if len(dims) != 2:   # a joint response of several parties is not local
+                raise ValueError("two-round protocol needs exactly two parties")
             if self.first_povm is None or self.responses is None:
                 raise ValueError("two-round protocol needs first_povm and responses")
-            rest = int(np.prod(dims[1:]))
             self.first_povm = [_mat(m, dims[0], "first-party element")
                                for m in self.first_povm]
             if len(self.responses) != len(self.first_povm):
                 raise ValueError("one response POVM per first-party outcome required")
-            self.responses = [[_mat(m, rest, f"response {i} element") for m in povm]
+            self.responses = [[_mat(m, dims[1], f"response {i} element") for m in povm]
                               for i, povm in enumerate(self.responses)]
         else:
             if not self.mixture:
@@ -505,7 +504,8 @@ def _prune_unreachable(p: LoccProtocol, e: Ensemble, tol: float) -> None:
 
 
 def build_pairwise_lad_protocol(e: Ensemble, tol: float = DEFAULT_TOL) -> LoccProtocol:
-    """Local exclusion protocol for pairwise orthogonal states.
+    """Local exclusion protocol for pairwise orthogonal states of two parties
+    (ValueError otherwise: three or more need more rounds than two).
 
     The states are grouped into pairs (wrapping the first state in again when
     their number is odd); each pair gets a two-round protocol that excludes
@@ -513,8 +513,8 @@ def build_pairwise_lad_protocol(e: Ensemble, tol: float = DEFAULT_TOL) -> LoccPr
     protocols uniformly.  The result passes verify_local_protocol strongly.
     """
     k = e.n_states
-    if e.layout.n_parties < 2:
-        raise ValueError("local protocols need at least two parties")
+    if e.layout.n_parties != 2:
+        raise ValueError("the pairwise protocol needs exactly two parties")
     if not e.is_orthogonal:
         raise ValueError("states are not pairwise orthogonal")
     pairs = [(2 * i, 2 * i + 1) for i in range(k // 2)]

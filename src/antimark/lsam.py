@@ -67,8 +67,8 @@ def check_lsam(task, n: int | None = None, m: int | None = None,
                tol: float = DEFAULT_TOL, seed: int = 0) -> Verdict:
     """Single-claim (m = 1) verdict of an LsamTask or (ensemble, n, m) triple;
     at n = 1 with two or more parties (a single draw), the local verdict.
-    Routes, in order: (1) a single draw of pairwise orthogonal states:
-    build_pairwise_lad_protocol, checked by verify_local_protocol
+    Routes, in order: (1) a two-party single draw of pairwise orthogonal
+    states: build_pairwise_lad_protocol, checked by verify_local_protocol
     (RuntimeError if it fails), YES "pairwise_walgate"; (2) a product parent,
     "local_part_criterion": each party's local part (sequence_local_part; the
     sequence size limit raises ValueError) through decide_antidist.  Any YES
@@ -87,7 +87,7 @@ def check_lsam(task, n: int | None = None, m: int | None = None,
                          "with verify_sequence_elimination instead")
     e = task.parent
     single_draw = task.n == 1 and e.layout.n_parties >= 2
-    if single_draw and e.is_orthogonal:
+    if single_draw and e.layout.n_parties == 2 and e.is_orthogonal:
         rep = verify_local_protocol(e, build_pairwise_lad_protocol(e, tol=tol), tol=tol)
         if not rep.passed:
             raise RuntimeError("pairwise protocol failed verification: "
@@ -102,8 +102,8 @@ def check_lsam(task, n: int | None = None, m: int | None = None,
             v.detail = f"global NO: {v.detail}"
             return v
         return Verdict("UNKNOWN", "exhausted",
-                       detail="no local criterion for entangled non-orthogonal "
-                              f"states (global decision {v.decision})")
+                       detail="no local criterion for states not given as products "
+                              f"(global decision {v.decision})")
     parts = {name: decide_antidist(sequence_local_part(e, task.n, p), tol=tol, seed=seed)
              for p, name in enumerate(e.layout.names)}
     for name, v in parts.items():

@@ -261,7 +261,7 @@ def test_lift_matches_the_broadcast_formula(r):
     """``_lift``, which adds I/k to the diagonal in place, equals
     B^T (S - I/k) conj(B) + I/k on random complex stacks: one basis per
     stack of elements, the (n, 1, r, d) broadcast of ``_triple_elements``
-    and the single basis of ``_lifted``."""
+    and the single basis of the qubit route."""
     rng = np.random.default_rng(20 + r)
     d, n, k = 7, 5, 3
 
@@ -1158,7 +1158,7 @@ def test_a_restart_runs_on_past_a_failed_polish_to_its_witness(monkeypatch, k, s
     e = embedded_qubits(k, seed, d)
     assert_qubit_lp_no_with_witness(e)
     polishes = record_polishes(monkeypatch)
-    y = exclusion._search(e, 3, 4000, 0, exclusion.SEARCH_TOL)
+    y, margin = exclusion._search(e, 3, 4000, 0, exclusion.SEARCH_TOL)
     assert isinstance(y, np.ndarray)
     assert verify_no_witness(e, y) > 1e-8
     assert polishes and all(answer is None for _, answer in polishes)
@@ -1198,6 +1198,65 @@ def test_the_search_ends_once_a_thin_witness_margin_settles(monkeypatch):
     assert len(steps) < 200, len(steps)
     assert all(0.0 < m <= 1e-8 for m in margins)
     assert abs(margins[-1] - margins[-2]) <= 0.01 * margins[-2]
+
+
+def count_checks(monkeypatch):
+    """Counts, by name, of the verify_strong and verify_no_witness calls
+    made inside the exclusion module."""
+    counts = {"verify_strong": 0, "verify_no_witness": 0}
+    for name in counts:
+        def counted(*args, _check=getattr(exclusion, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _check(*args, **kwargs)
+        monkeypatch.setattr(exclusion, name, counted)
+    return counts
+
+
+def embedded_sic4(d, seed):
+    """The four qubit SIC states placed in C^d and turned by a Haar unitary."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    e = sic4()
+    return Ensemble(f"sic4 in C^{d}", PartyLayout((d,)), e.labels,
+                    [u @ np.concatenate([s, np.zeros(d - 2)]) for s in e.states])
+
+
+@pytest.mark.parametrize("build,answer,checks", [
+    (sic4, ("YES", "qubit_lp"), (1, 0)),
+    (lambda: embedded_sic4(4, 3), ("YES", "qubit_lp"), (1, 0)),
+    (lambda: embedded_qubits(6, 69, 4), ("NO", "qubit_lp"), (0, 1)),
+    (trine3, ("YES", "caves"), (1, 0)),
+    (bell4, ("YES", "triple_cover"), (1, 0)),
+    (pbr4, ("YES", "search"), (1, 0)),
+], ids=["sic4", "sic4 in C^4", "qubits k6 s69 in C^4", "trine3", "bell4", "pbr4"])
+def test_each_answer_is_checked_once(monkeypatch, build, answer, checks):
+    """Every route checks the certificate or witness it returns once, on the
+    ensemble it answers: the qubit route lifts a span answer before its one
+    check, rather than checking it in C^2 and again in C^d."""
+    e = build()
+    counts = count_checks(monkeypatch)
+    v = decide_antidist(e)
+    assert (v.decision, v.method) == answer
+    assert (counts["verify_strong"], counts["verify_no_witness"]) == checks
+
+
+def test_a_search_no_carries_the_margin_the_search_took(monkeypatch):
+    """The search hands back the margin of the witness it accepts:
+    decide_antidist reports it and checks nothing after the search returns."""
+    e = quartet(NO_QUARTETS[0])
+    counts = count_checks(monkeypatch)
+    search, at_return = exclusion._search, []
+
+    def recording(*args):
+        found = search(*args)
+        at_return.append(dict(counts))
+        return found
+
+    monkeypatch.setattr(exclusion, "_search", recording)
+    v = decide_antidist(e)
+    assert (v.decision, v.method) == ("NO", "witness")
+    assert v.margins == [verify_no_witness(e, v.witness)]
+    assert at_return == [counts]
 
 
 def test_factored_jacobian_matches_central_differences():

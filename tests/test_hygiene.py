@@ -129,15 +129,22 @@ def test_only_the_command_line_reads_the_environment_and_only_its_tolerance():
     assert keys == ["ANTIMARK_TOL"]
 
 
+def callers(name: str) -> list[str]:
+    """The functions of the package, as module.function, that call name."""
+    return [f"{mod}.{fn.name}" for mod, tree in parsed_modules().items()
+            for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn) if isinstance(node, ast.Call)
+            and (node.func.id if isinstance(node.func, ast.Name)
+                 else getattr(node.func, "attr", None)) == name]
+
+
 def test_one_qubit_weight_program():
-    """The single-qubit weight program has one caller, the builder that
-    qubit_antidist_lp and the rank-2 triples of _triple_elements share."""
-    calls = [f"{mod}.{fn.name}" for mod, tree in parsed_modules().items()
-             for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
-             for node in ast.walk(fn) if isinstance(node, ast.Call)
-             and (node.func.id if isinstance(node.func, ast.Name)
-                  else getattr(node.func, "attr", None)) == "_min_weight_completion"]
-    assert calls == ["exclusion._qubit_elements"]
+    """The single-qubit weight program runs in one place, the builder of the
+    qubit route, and the route is the builder's one caller: the rank-2
+    triples of _triple_elements take their weights in closed form, and call
+    neither the builder nor the simplex."""
+    assert callers("simplex_maximize") == ["exclusion._qubit_elements"]
+    assert callers("_qubit_elements") == ["exclusion._qubit_verdict"]
 
 
 def test_the_command_line_decides_nothing_itself():
@@ -145,8 +152,5 @@ def test_the_command_line_decides_nothing_itself():
     nor is_product, and builds a pairwise protocol only for build-protocol."""
     tree = parsed_modules()["cli"]
     assert not {"is_orthogonal", "is_product"} & references(tree)
-    callers = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
-               for node in ast.walk(fn) if isinstance(node, ast.Call)
-               and (node.func.id if isinstance(node.func, ast.Name)
-                    else getattr(node.func, "attr", None)) == "build_pairwise_lad_protocol"]
-    assert callers == ["_cmd_build_protocol"]
+    assert [c for c in callers("build_pairwise_lad_protocol")
+            if c.startswith("cli.")] == ["cli._cmd_build_protocol"]

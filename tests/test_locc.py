@@ -1,5 +1,6 @@
 """Local protocols: Walgate splitting, worked tables, generation, files."""
 
+import json
 import math
 
 import numpy as np
@@ -385,6 +386,36 @@ def test_protocol_kind_validation():
         LoccProtocol("two_round_sequential", lay, first_povm=[np.eye(2)])
     with pytest.raises(ValueError):
         LoccProtocol("randomized_mixture", lay, mixture=[])
+
+
+def ghz_pair() -> Ensemble:
+    """(|000> + |111>)/sqrt 2 and (|000> - |111>)/sqrt 2 on three qubits."""
+    s = 2.0 ** -0.5
+    return Ensemble("ghz", PartyLayout((2, 2, 2)), ["GHZ+", "GHZ-"],
+                    [s * (np.eye(8)[0] + np.eye(8)[7]), s * (np.eye(8)[0] - np.eye(8)[7])])
+
+
+def test_a_two_round_protocol_is_two_party():
+    """On the GHZ pair a Walgate response would act on B and C jointly (its
+    elements have operator-Schmidt rank 4 across B|C), which no two-round
+    exchange of local measurements does.  The two-round kind takes exactly
+    two parties, in memory and in protocol files, the pairwise builder
+    refuses three, and check_lsam answers no pairwise_walgate YES."""
+    from antimark.lsam import check_lsam
+    from antimark.qcore import DataError, mat_to_pairs
+    e = ghz_pair()
+    with pytest.raises(ValueError, match="exactly two parties"):
+        LoccProtocol("two_round_sequential", e.layout, first_povm=[np.eye(2)],
+                     responses=[[np.eye(4)]])
+    with pytest.raises(ValueError, match="exactly two parties"):
+        build_pairwise_lad_protocol(e)
+    doc = {"kind": "two_round_sequential", "parties": [{"povm": [mat_to_pairs(np.eye(2))]}],
+           "responses": [[mat_to_pairs(np.eye(4))]]}
+    with pytest.raises(DataError, match="exactly two parties"):
+        parse_protocol(json.dumps(doc), e.layout)
+    v = check_lsam(e, 1, 1)
+    assert (v.decision, v.method) == ("UNKNOWN", "exhausted")
+    assert "not given as products" in v.detail
 
 
 def test_mixture_weights_must_sum_to_one():

@@ -11,7 +11,7 @@ import pytest
 
 from antimark import lsam
 from antimark.ensembles import (Ensemble, bell4, bennett9, duan4, local_part, nl1, nl2,
-                                pbr4, sequence_ensemble, su3, theta4)
+                                pbr4, product_ensemble, sequence_ensemble, su3, theta4)
 from antimark.exclusion import (Povm, Verdict, caves_criterion, decide_antidist,
                                 exclusion_counts, verify_no_witness, verify_strong)
 from antimark.locc import LoccProtocol, flatten_protocol
@@ -103,6 +103,18 @@ def test_a_single_draw_of_orthogonal_states_gets_a_verified_pairwise_protocol():
         assert (v.decision, v.method, v.parts) == ("YES", "pairwise_walgate", None)
 
 
+def test_three_party_orthogonal_states_take_the_other_routes():
+    """The pairwise protocol is two-party: three-party orthogonal product
+    states go to their local parts, whose YES is sound on its own."""
+    zero, one = np.eye(2)
+    e = product_ensemble("p3", PartyLayout((2, 2, 2)), ["a", "b", "c"],
+                         [(zero, zero, zero), (one, one, one), (zero, one, zero)])
+    assert e.is_orthogonal
+    v = check_lsam(e, 1, 1)
+    assert (v.decision, v.method) == ("YES", "local_part_criterion")
+    assert v.parts["A"].decision == "YES"
+
+
 def test_a_failing_pairwise_protocol_raises(monkeypatch):
     class Failed:
         passed = False
@@ -176,6 +188,20 @@ def test_verify_sequence_elimination_counts_claims_and_numerics():
     assert verify_sequence_elimination(task, proto) == 8
     unmapped = dataclasses.replace(proto, exclusion_map=None)
     assert verify_sequence_elimination(task, unmapped) == 8
+
+
+def test_verify_sequence_elimination_counts_a_bare_povm():
+    """A global certificate passed as a Povm is counted from its elements,
+    as exclusion_counts counts it; a Povm on another space, or an object
+    that is neither a Povm nor a protocol, raises ValueError."""
+    task = LsamTask(pbr4(), 2)
+    seq = task.sequences()
+    cert = decide_antidist(seq).certificate
+    assert verify_sequence_elimination(task, cert) == exclusion_counts(seq, cert).min_exclusions
+    with pytest.raises(ValueError, match="does not act on the sequence space"):
+        verify_sequence_elimination(task, pbr_sequence_measurement())
+    with pytest.raises(ValueError, match="expected a Povm or a LoccProtocol"):
+        verify_sequence_elimination(task, list(cert.elements))
 
 
 def test_verify_sequence_elimination_rejects_false_claims():
