@@ -18,7 +18,7 @@ import numpy as np
 
 from .ensembles import Ensemble
 from .qcore import (DEFAULT_TOL, DataError, PartyLayout, density, fires, kron,
-                    mat_to_pairs, measurement_failures, outcome_table)
+                    mat_to_pairs, measurement_checks, outcome_table)
 
 KINDS = ("one_round_product", "two_round_sequential", "randomized_mixture")
 
@@ -28,15 +28,6 @@ def _mat(m, dim: int, what: str) -> np.ndarray:
     if m.shape != (dim, dim):
         raise ValueError(f"{what}: expected shape {(dim, dim)}, got {m.shape}")
     return m
-
-
-def _povm_sane(els: list[np.ndarray], tol: float, what: str) -> None:
-    try:
-        failures, _, _ = measurement_failures(els, tol)
-    except ValueError as exc:
-        failures = [str(exc)]
-    if failures:
-        raise ValueError(f"{what}: {failures[0]}")
 
 
 # ---------------------------------------------------------------------------
@@ -106,27 +97,40 @@ class FlatOutcome:
     claims: tuple[str, ...] | None  # None when the outcome is unmapped
 
 
-def flatten_protocol(p: LoccProtocol) -> list[FlatOutcome]:
-    """Global product elements of a protocol, with any mapped claims attached."""
-    out: list[FlatOutcome] = []
-    if p.kind == "one_round_product":
-        for idx in product(*(range(len(povm)) for povm in p.party_povms)):
-            el = p.party_povms[0][idx[0]]
-            for q, i in enumerate(idx[1:], start=1):
-                el = kron(el, p.party_povms[q][i])
-            claims = None if p.exclusion_map is None else p.exclusion_map.get(idx)
-            out.append(FlatOutcome(idx, el, claims))
-    elif p.kind == "two_round_sequential":
-        for i, first in enumerate(p.first_povm):
-            for j, resp in enumerate(p.responses[i]):
-                idx = (i, j)
-                claims = None if p.exclusion_map is None else p.exclusion_map.get(idx)
-                out.append(FlatOutcome(idx, kron(first, resp), claims))
+class FlatOutcomes(list):
+    """Outcomes in order; outcome i's element is row i of the stack ``elements``."""
+    elements: np.ndarray
+
+
+def flatten_protocol(p: LoccProtocol) -> FlatOutcomes:
+    """Global product elements of a protocol, with any mapped claims attached.
+
+    The elements are the rows of one (n, d, d) stack: one broadcast product
+    per party, or one for all branches of a two-round protocol; a mixture
+    scales its components' stacks by their weights and concatenates them."""
+    dims = p.layout.dims
+    if p.kind == "randomized_mixture":
+        subs = [flatten_protocol(comp) for _, comp in p.mixture]
+        keys = [(ci,) + f.outcome for ci, sub in enumerate(subs) for f in sub]
+        claims = [f.claims for sub in subs for f in sub]
+        els = np.concatenate([w * sub.elements for (w, _), sub in zip(p.mixture, subs)])
     else:
-        for ci, (w, comp) in enumerate(p.mixture):
-            for sub in flatten_protocol(comp):
-                out.append(FlatOutcome((ci,) + sub.outcome, w * sub.element, sub.claims))
-    return out
+        if p.kind == "one_round_product":
+            stacks = [np.asarray(povm).reshape(-1, d, d) for povm, d in zip(p.party_povms, dims)]
+            els = stacks[0]
+            for s in stacks[1:]:
+                els = kron(els[:, None], s)
+                els = els.reshape((-1,) + els.shape[2:])
+            keys = list(product(*(range(len(s)) for s in stacks)))
+        else:
+            keys = [(i, j) for i, resp in enumerate(p.responses) for j in range(len(resp))]
+            firsts = np.asarray(p.first_povm).reshape(-1, dims[0], dims[0])
+            resps = np.asarray([m for r in p.responses for m in r]).reshape(-1, dims[1], dims[1])
+            els = kron(firsts[[i for i, _ in keys]], resps)
+        claims = [(p.exclusion_map or {}).get(k) for k in keys]
+    flat = FlatOutcomes(map(FlatOutcome, keys, els, claims))
+    flat.elements = els
+    return flat
 
 
 def _mapped_outcomes(p: LoccProtocol) -> set[tuple[int, ...]]:
@@ -139,16 +143,22 @@ def _mapped_outcomes(p: LoccProtocol) -> set[tuple[int, ...]]:
 
 
 def _validate_pieces(p: LoccProtocol, tol: float) -> None:
-    if p.kind == "one_round_product":
-        for q, povm in enumerate(p.party_povms):
-            _povm_sane(povm, tol, f"party {q} POVM")
-    elif p.kind == "two_round_sequential":
-        _povm_sane(p.first_povm, tol, "first-party POVM")
-        for i, povm in enumerate(p.responses):
-            _povm_sane(povm, tol, f"response POVM {i}")
-    else:
-        for _, comp in p.mixture:
-            _validate_pieces(comp, tol)
+    """ValueError naming the first local POVM, in protocol order, that fails
+    the measurement check; the POVMs are checked in one group per dimension."""
+    pieces = []
+    for c in [c for _, c in p.mixture] if p.kind == "randomized_mixture" else [p]:
+        if c.kind == "one_round_product":
+            pieces += [(f"party {q} POVM", povm) for q, povm in enumerate(c.party_povms)]
+        else:
+            pieces += [("first-party POVM", c.first_povm)]
+            pieces += [(f"response POVM {i}", povm) for i, povm in enumerate(c.responses)]
+    dims = [len(povm[0]) if povm else 0 for _, povm in pieces]
+    groups = [[k for k, dk in enumerate(dims) if dk == d] for d in set(dims)]
+    failed = [(k, failures[0]) for group in groups for k, (failures, _, _)
+              in zip(group, measurement_checks([pieces[k][1] for k in group], tol)) if failures]
+    if failed:
+        k, failure = min(failed)
+        raise ValueError(f"{pieces[k][0]}: {failure}")
 
 
 # ---------------------------------------------------------------------------
@@ -191,25 +201,26 @@ def verify_local_protocol(e: Ensemble, p: LoccProtocol,
     """
     if p.layout.dims != e.layout.dims:
         raise ValueError("protocol layout does not match the ensemble layout")
-    if not _mapped_outcomes(p):
+    mapped = _mapped_outcomes(p)
+    if not mapped:
         raise ValueError("protocol carries no exclusion map")
     _validate_pieces(p, tol)
 
     flat = flatten_protocol(p)
-    seen = {f.outcome for f in flat}
-    stale = _mapped_outcomes(p) - seen
+    stale = mapped - {f.outcome for f in flat}
     if stale:
         raise ValueError(f"exclusion map names outcomes that never occur: {sorted(stale)}")
 
-    els = np.asarray([f.element for f in flat])
-    table = outcome_table(els, e.states)
+    table = outcome_table(flat.elements, e.states)
     column = {lab: j for j, lab in enumerate(e.labels)}
     rows: list[ProtocolOutcomeReport] = []
     failures: list[str] = []
     unreachable_mapped: list[tuple[int, ...]] = []
     excluded: set[str] = set()
     sound = True
-    for f, probs, reachable in zip(flat, table, fires(table, tol)):
+    probabilities = (table.sum(axis=1) / e.n_states).tolist()
+    for f, probs, probability, reachable in zip(flat, table.tolist(), probabilities,
+                                                fires(table, tol).tolist()):
         worst = 0.0
         if f.claims is None:
             if reachable:
@@ -221,7 +232,7 @@ def verify_local_protocol(e: Ensemble, p: LoccProtocol,
             if not reachable:
                 unreachable_mapped.append(f.outcome)
             for lab in f.claims:
-                p_lab = float(probs[column[lab]])
+                p_lab = probs[column[lab]]
                 worst = max(worst, p_lab)
                 if p_lab > tol:
                     sound = False
@@ -229,11 +240,10 @@ def verify_local_protocol(e: Ensemble, p: LoccProtocol,
                                     f"probability {p_lab:.3e}")
             if reachable:
                 excluded.update(f.claims)
-        rows.append(ProtocolOutcomeReport(f.outcome, float(probs.sum()) / e.n_states,
-                                          bool(reachable), f.claims, worst))
+        rows.append(ProtocolOutcomeReport(f.outcome, probability, reachable, f.claims, worst))
 
-    # the components passed measurement_failures; only the flattened sum is reported
-    comp = float(np.max(np.abs(els.sum(axis=0) - np.eye(e.layout.dim))))
+    # the components passed the measurement check; only the flattened sum is reported
+    comp = float(np.max(np.abs(flat.elements.sum(axis=0) - np.eye(e.layout.dim))))
     missing = tuple(lab for lab in e.labels if lab not in excluded)
     if missing:
         failures.append(f"never excluded by a reachable outcome: {list(missing)}")
@@ -275,7 +285,7 @@ def verify_conclusive_identification(e: Ensemble, party_povms,
                          party_povms=[list(povm) for povm in party_povms])
     _validate_pieces(proto, tol)
     flat = flatten_protocol(proto)
-    table = outcome_table([f.element for f in flat], e.states)
+    table = outcome_table(flat.elements, e.states)
     rows: list[IdentificationOutcome] = []
     hit: set[str] = set()
     for f, probs, fired in zip(flat, table, fires(table, tol)):
@@ -304,9 +314,10 @@ def _rotation_phase(b: complex, c: complex) -> float:
     return math.atan2(big_a, -big_b) % math.pi
 
 
-def _rotate_pair(a: np.ndarray, u: np.ndarray, i: int, j: int, target: complex) -> None:
-    """Rotate the pair (i, j) of a, and the rows of u with it, so that a[i, i]
-    lands on the point of the segment [a[i, i], a[j, j]] nearest to target.
+def _rotate_pair(au: np.ndarray, i: int, j: int, target: complex) -> None:
+    """Rotate the pair (i, j) of a = au[:, :n], and the rows of u = au[:, n:]
+    with it, so that a[i, i] lands on the point of the segment
+    [a[i, i], a[j, j]] nearest to target.
 
     With w = a_ii - a_jj, the phase phi makes the off-diagonal combination r
     real, and the angle t then moves a_ii to the mean plus
@@ -314,21 +325,19 @@ def _rotate_pair(a: np.ndarray, u: np.ndarray, i: int, j: int, target: complex) 
     target's offset s along the segment, and at s = 0 it is the rotation to
     the mean.
     """
+    a = au[:, :len(au)]
     w = a[i, i] - a[j, j]
     phase = w / abs(w)
     b, c = a[i, j] / phase, a[j, i] / phase
-    phi = _rotation_phase(b, c)
-    r = float((b * np.exp(-1j * phi) + c * np.exp(1j * phi)).real)
+    turn = np.exp(1j * _rotation_phase(b, c))
+    r = float((b * turn.conjugate() + c * turn).real)
     two_s = 2.0 * ((target - (a[i, i] + a[j, j]) / 2.0) / phase).real
     rho = math.hypot(abs(w), r)
     t = 0.5 * (math.atan2(r, abs(w)) - math.acos(max(-1.0, min(1.0, two_s / rho))))
-    v = np.array([[math.cos(t), np.exp(1j * phi) * math.sin(t)],
-                  [-np.exp(-1j * phi) * math.sin(t), math.cos(t)]],
-                 dtype=np.complex128)
-    idx = [i, j]
-    a[idx, :] = v @ a[idx, :]
-    a[:, idx] = a[:, idx] @ v.conj().T
-    u[idx, :] = v @ u[idx, :]
+    cs, sn = math.cos(t), turn * math.sin(t)
+    snc = sn.conjugate()
+    au[i], au[j] = cs * au[i] + sn * au[j], cs * au[j] - snc * au[i]
+    a[:, i], a[:, j] = cs * a[:, i] + snc * a[:, j], cs * a[:, j] - sn * a[:, i]
 
 
 def _hull_exit(diag: np.ndarray, i: int, others: list[int],
@@ -374,7 +383,8 @@ def zero_diagonal_unitary(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(a))))
     if abs(np.trace(a)) > 1e-8 * scale:
         raise ValueError("matrix must be traceless")
-    u = np.eye(n, dtype=np.complex128)
+    au = np.concatenate((a, np.eye(n)), axis=1)
+    a, u = au[:, :n], au[:, n:]
     target = max(tol * 1e-2, 5e-14 * scale)
     tiny = 1e-15 * scale
     rest = list(range(n))
@@ -387,18 +397,18 @@ def zero_diagonal_unitary(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
         if len(others) == 1:
             j = others[0]
             if abs(diag[i] - diag[j]) > tiny:
-                _rotate_pair(a, u, i, j, (diag[i] + diag[j]) / 2.0)
+                _rotate_pair(au, i, j, (diag[i] + diag[j]) / 2.0)
             break
         j, k, cross = _hull_exit(diag, i, others, tiny)
         if k is not None and abs(diag[j] - diag[k]) > tiny:
-            _rotate_pair(a, u, j, k, cross)
+            _rotate_pair(au, j, k, cross)
         if abs(a[i, i] - a[j, j]) > tiny:
-            _rotate_pair(a, u, i, j, 0.0)
+            _rotate_pair(au, i, j, 0.0)
         rest.remove(i)
     final = float(np.max(np.abs(np.diag(a))))
     if final > tol:
         raise RuntimeError(f"diagonal reduction stalled at {final:.3e}")
-    return u
+    return u.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +455,8 @@ def walgate_basis(psi, phi, layout: PartyLayout,
     u = zero_diagonal_unitary(k, tol=min(tol, 1e-11))
     eta = u.conj() @ mpsi
     eta_perp = u.conj() @ mphi
-    residual = float(max(abs(np.vdot(eta[i], eta_perp[i])) for i in range(d0)))
-    return WalgateDecomposition([u[i, :].copy() for i in range(d0)],
-                                [eta[i, :].copy() for i in range(d0)],
-                                [eta_perp[i, :].copy() for i in range(d0)],
-                                u, residual)
+    residual = float(np.max(np.abs(np.sum(eta.conj() * eta_perp, axis=1))))
+    return WalgateDecomposition(list(u.copy()), list(eta), list(eta_perp), u, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -459,34 +466,27 @@ _BRANCH_CUTOFF = 1e-7
 
 
 def _pair_protocol(e: Ensemble, p: int, q: int, tol: float) -> LoccProtocol:
+    """Walgate's two rounds for the pair (p, q), with every branch built at once."""
     dec = walgate_basis(e.states[p], e.states[q], e.layout, tol=tol)
     rest = e.layout.dim // e.layout.dims[0]
-    first = [np.outer(u, u.conj()) for u in dec.basis]
-    responses: list[list[np.ndarray]] = []
-    exclusion: dict[tuple[int, ...], tuple[str, ...]] = {}
-    for i, (eta, etp) in enumerate(zip(dec.eta, dec.eta_perp)):
-        els: list[np.ndarray] = []
-        claims: list[tuple[str, ...]] = []
-        w1 = None
-        if np.linalg.norm(eta) > _BRANCH_CUTOFF:
-            w1 = eta / np.linalg.norm(eta)
-            els.append(np.outer(w1, w1.conj()))
-            claims.append((e.labels[q],))
-        if np.linalg.norm(etp) > _BRANCH_CUTOFF:
-            v = etp / np.linalg.norm(etp)
-            if w1 is not None:
-                v = v - w1 * np.vdot(w1, v)
-                v = v / np.linalg.norm(v)
-            els.append(np.outer(v, v.conj()))
-            claims.append((e.labels[p],))
-        leftover = np.eye(rest) - sum(els) if els else np.eye(rest)
-        if float(np.max(np.abs(leftover))) > 1e-9:
-            els.append(leftover)
-            claims.append(())
-        responses.append(els)
-        for j, cl in enumerate(claims):
-            exclusion[(i, j)] = cl
-    return LoccProtocol("two_round_sequential", e.layout, first_povm=first,
+    res = np.asarray([dec.eta, dec.eta_perp])
+    norms = np.linalg.norm(res, axis=2)
+    has = norms > _BRANCH_CUTOFF
+    unit = res / np.where(has, norms, 1.0)[:, :, None]
+    w, v = unit
+    v -= w * np.where(has[0], np.sum(w.conj() * v, axis=1), 0.0)[:, None]
+    v /= np.where(has.all(axis=0), np.linalg.norm(v, axis=1), 1.0)[:, None]
+    proj = unit[..., :, None] * unit.conj()[..., None, :]
+    leftover = np.eye(rest) - (proj * has[:, :, None, None]).sum(axis=0)
+    keep = np.max(np.abs(leftover), axis=(1, 2)) > 1e-9
+    responses, exclusion = [], {}
+    for i, (a, b, c) in enumerate(zip(*has.tolist(), keep.tolist())):
+        branch = ([(proj[0, i], (e.labels[q],))] * a + [(proj[1, i], (e.labels[p],))] * b
+                  + [(leftover[i], ())] * c)
+        responses.append([el for el, _ in branch])
+        exclusion.update(((i, j), cl) for j, (_, cl) in enumerate(branch))
+    return LoccProtocol("two_round_sequential", e.layout,
+                        first_povm=list(dec.unitary[:, :, None] * dec.unitary.conj()[:, None, :]),
                         responses=responses, exclusion_map=exclusion,
                         name=f"pair({e.labels[p]},{e.labels[q]})")
 
@@ -494,7 +494,7 @@ def _pair_protocol(e: Ensemble, p: int, q: int, tol: float) -> LoccProtocol:
 def _prune_unreachable(p: LoccProtocol, e: Ensemble, tol: float) -> None:
     """Drop exclusion-map entries whose outcomes never fire under e."""
     flat = flatten_protocol(p)
-    table = outcome_table([f.element for f in flat], e.states)
+    table = outcome_table(flat.elements, e.states)
     for f, fired in zip(flat, fires(table, tol)):
         if f.claims is not None and not fired:
             if p.kind == "randomized_mixture":

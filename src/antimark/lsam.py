@@ -143,7 +143,7 @@ def verify_sequence_elimination(task: LsamTask, protocol,
     if protocol.layout.dims != seq.layout.dims:
         raise ValueError("protocol layout does not match the sequence layout")
     if not _mapped_outcomes(protocol):
-        povm = Povm(seq.layout, [f.element for f in flatten_protocol(protocol)])
+        povm = Povm(seq.layout, flatten_protocol(protocol).elements)
         return exclusion_counts(seq, povm, tol=tol).min_exclusions
     rep = verify_local_protocol(seq, protocol, tol=tol)
     if not rep.sound:

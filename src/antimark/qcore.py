@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -80,21 +81,23 @@ def real_if_exact(a) -> np.ndarray:
     return np.ascontiguousarray(a.real)
 
 
-def min_eigenvalue(mat: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix, or of a whole stack of them.
+def min_eigenvalue(mat: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each Hermitian matrix of a stack, from one
+    solve (a 0-d array for one matrix).
 
     A complex stack whose imaginary part is exactly zero goes to the real
     solver (``real_if_exact``)."""
-    return float(np.min(np.linalg.eigvalsh(real_if_exact(mat))[..., 0]))
+    return np.linalg.eigvalsh(real_if_exact(mat))[..., 0]
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two kets or of two matrices, as one broadcast product: the
-    same entries without np.kron's general-rank bookkeeping."""
+    """np.kron of two kets, or of two matrices broadcast over any leading
+    axes, as one broadcast product: the same entries without np.kron's
+    general-rank bookkeeping."""
     if a.ndim == 1:
         return (a[:, None] * b[None, :]).reshape(-1)
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
 
 
 def outcome_table(elements, kets) -> np.ndarray:
@@ -113,14 +116,18 @@ def fires(table: np.ndarray, tol: float) -> np.ndarray:
     return table.sum(axis=1) > tol
 
 
-def povm_residuals(elements) -> tuple[np.ndarray, float, float]:
-    """How far a stack of elements is from a measurement.
+def povm_residuals(elements, starts=(0,)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """How far each POVM of a stack of elements is from a measurement, POVM i
+    running from starts[i] up to the next start.
 
-    Returns the per-element Hermiticity residuals max|E - E^dag|, the
-    completeness residual max|sum E - I| and the smallest eigenvalue over the
-    Hermitian parts of all elements.  Whether the stack is real is decided
-    once (``real_if_exact``), and every step runs on that one real or
-    complex stack.
+    Returns the per-element Hermiticity residuals max|E - E^dag|, and per
+    POVM the completeness residual max|sum E - I| and the smallest eigenvalue
+    over the Hermitian parts of its elements, from one ``min_eigenvalue``
+    solve. An element with a non-finite entry has a non-finite Hermiticity
+    residual and is left out of that solve, so it cannot spoil the other
+    POVMs' answers. Whether the stack is real is decided once
+    (``real_if_exact``), and every step runs on that one real or complex
+    stack.
     """
     els = real_if_exact(elements)
     adj = els.swapaxes(1, 2)
@@ -128,26 +135,53 @@ def povm_residuals(elements) -> tuple[np.ndarray, float, float]:
         adj = adj.conj()
     work = els - adj
     herm = np.max(np.abs(work), axis=(1, 2))
-    comp = float(np.max(np.abs(els.sum(axis=0) - np.eye(els.shape[1]))))
+    # one np.sum per POVM: a POVM sums as it does alone, where np.add.reduceat
+    # rounds otherwise and runs several times slower on a large stack
+    sums = np.stack([els[a:b].sum(axis=0) for a, b in zip(starts, [*starts[1:], len(els)])])
+    comp = np.max(np.abs(sums - np.eye(els.shape[1])), axis=(1, 2))
     sym = np.add(els, adj, out=work)
     sym *= 0.5
-    return herm, comp, min_eigenvalue(sym)
+    sym[~np.isfinite(herm)] = 0.0
+    return herm, comp, np.minimum.reduceat(min_eigenvalue(sym), starts)
+
+
+def measurement_checks(povms, tol: float) -> list[tuple[list[str], float, float]]:
+    """The package's one measurement check, over a group of POVMs of one
+    dimension as one stack: per POVM its completeness and positivity failures
+    (none for a measurement), completeness residual and smallest eigenvalue.
+    No elements, a non-finite or a non-Hermitian element is a POVM's one
+    failure, with nan residuals."""
+    sizes = [len(els) for els in povms]
+    out = [(["no elements"], math.nan, math.nan)] * len(povms)
+    full = [k for k, n in enumerate(sizes) if n]
+    if not full:
+        return out
+    starts = [0, *accumulate(sizes[k] for k in full[:-1])]
+    herm, comps, mineigs = povm_residuals(
+        povms[0] if len(povms) == 1 else [m for els in povms for m in els], starts)
+    bad = ~np.isfinite(herm)
+    flawed = np.logical_or.reduceat(bad | (herm > tol), starts).tolist()
+    for k, a, comp, mineig, flaw in zip(full, starts, comps.tolist(), mineigs.tolist(), flawed):
+        if flaw:
+            nonfinite = bad[a:a + sizes[k]]
+            flags = nonfinite if nonfinite.any() else herm[a:a + sizes[k]] > tol
+            what = "has non-finite entries" if nonfinite.any() else "is not Hermitian"
+            out[k] = ([f"element {int(np.argmax(flags))} {what}"], math.nan, math.nan)
+        else:
+            out[k] = ([f"completeness residual {comp:.3e} exceeds tol"] * (comp > tol)
+                      + [f"minimum eigenvalue {mineig:.3e} below -tol"] * (mineig < -tol),
+                      comp, mineig)
+    return out
 
 
 def measurement_failures(elements, tol: float) -> tuple[list[str], float, float]:
-    """The package's one measurement check: ValueError for no elements or a
-    non-Hermitian one, else the completeness and positivity failures (none for
-    a measurement), the completeness residual and the smallest eigenvalue."""
-    if len(elements) == 0:
-        raise ValueError("no elements")
-    herm, comp, mineig = povm_residuals(elements)
-    if np.any(herm > tol):
-        raise ValueError(f"element {int(np.argmax(herm > tol))} is not Hermitian")
-    failures = []
-    if comp > tol:
-        failures.append(f"completeness residual {comp:.3e} exceeds tol")
-    if mineig < -tol:
-        failures.append(f"minimum eigenvalue {mineig:.3e} below -tol")
+    """measurement_checks on one POVM: ValueError for no elements, a
+    non-finite or a non-Hermitian element, else the completeness and
+    positivity failures (none for a measurement), the completeness residual
+    and the smallest eigenvalue."""
+    failures, comp, mineig = measurement_checks([elements], tol)[0]
+    if math.isnan(comp):
+        raise ValueError(failures[0])
     return failures, comp, mineig
 
 

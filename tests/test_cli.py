@@ -12,7 +12,8 @@ import pytest
 from antimark.cli import main
 from antimark.ensembles import build_catalog, catalog, nl1, parse_ensemble
 from antimark.exclusion import verify_no_witness
-from antimark.locc import LoccProtocol, nl1_identification_povms, serialize_protocol
+from antimark.locc import (LoccProtocol, bell_exclusion_protocol, nl1_identification_povms,
+                           serialize_protocol)
 from antimark.lsam import check_lsam, sweep_theta
 
 
@@ -277,6 +278,21 @@ def test_verify_protocol_conclusive_needs_one_round(capsys, tmp_path):
         "--method", "pairwise-walgate", "--out", str(out_file))
     assert run(capsys, "verify-protocol", "--ensemble", "bell4",
                "--protocol", str(out_file), "--conclusive")[0] == 65
+
+
+def test_verify_protocol_rejects_a_non_finite_element(capsys, tmp_path):
+    """Bob's computational readout with one extra all-NaN element: the file
+    is malformed input, not a passing protocol."""
+    proto = bell_exclusion_protocol()
+    bob = proto.party_povms[1] + [np.full((2, 2), np.nan, dtype=np.complex128)]
+    bad = LoccProtocol(proto.kind, proto.layout, party_povms=[proto.party_povms[0], bob],
+                       exclusion_map=proto.exclusion_map)
+    path = tmp_path / "nan.protocol.json"
+    path.write_text(serialize_protocol(bad))
+    code, err = run_err(capsys, "verify-protocol", "--ensemble", "bell4",
+                        "--protocol", str(path))
+    assert code == 65
+    assert "party 1 POVM: element 2 has non-finite entries" in err
 
 
 def test_verify_protocol_missing_file(capsys):

@@ -1,5 +1,6 @@
 """Local protocols: Walgate splitting, worked tables, generation, files."""
 
+import itertools
 import json
 import math
 
@@ -21,7 +22,7 @@ from antimark.locc import (LoccProtocol, _rotation_phase,
                            verify_conclusive_identification,
                            verify_local_protocol, walgate_basis,
                            zero_diagonal_unitary)
-from antimark.qcore import PartyLayout, density
+from antimark.qcore import PartyLayout, density, kron
 
 
 def haar(dim, rng):
@@ -441,6 +442,50 @@ def test_two_round_flattening():
     assert [f.outcome for f in flat] == [(0, 0), (0, 1), (1, 0)]
     total = sum(f.element for f in flat)
     np.testing.assert_allclose(total, np.eye(4), atol=1e-12)
+
+
+def reference_flatten(p):
+    """flatten_protocol as a loop over outcomes, one qcore.kron per factor:
+    (outcome, element, claims) triples."""
+    emap = p.exclusion_map or {}
+    if p.kind == "one_round_product":
+        out = []
+        for idx in itertools.product(*(range(len(povm)) for povm in p.party_povms)):
+            el = p.party_povms[0][idx[0]]
+            for q, i in enumerate(idx[1:], start=1):
+                el = kron(el, p.party_povms[q][i])
+            out.append((idx, el, emap.get(idx)))
+        return out
+    if p.kind == "two_round_sequential":
+        return [((i, j), kron(first, resp), emap.get((i, j)))
+                for i, first in enumerate(p.first_povm)
+                for j, resp in enumerate(p.responses[i])]
+    return [((ci,) + idx, w * el, claims) for ci, (w, comp) in enumerate(p.mixture)
+            for idx, el, claims in reference_flatten(comp)]
+
+
+def test_flattening_matches_the_per_outcome_loop():
+    """The stacked flattening gives the loop's outcomes, claims and elements
+    exactly, on a three-party one-round protocol, a two-round protocol and a
+    pairwise mixture; each element is a row of the one stack it returns."""
+    rng = np.random.default_rng(17)
+    lay = PartyLayout((3, 3))
+    q = np.linalg.qr(rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))[0]
+    five = Ensemble("five", lay, [f"s{j}" for j in range(5)], [q[:, j] for j in range(5)])
+    two = Ensemble("two", lay, ["s0", "s1"], [q[:, 0], q[:, 1]])
+    protos = [LoccProtocol("one_round_product", nl2(1.0).layout,
+                           party_povms=nl2_identification_povms(1.0)),
+              build_pairwise_lad_protocol(two), build_pairwise_lad_protocol(five)]
+    assert [p.kind for p in protos] == list(locc.KINDS)
+    assert len(protos[2].mixture) == 3
+    for proto in protos:
+        flat = flatten_protocol(proto)
+        want = reference_flatten(proto)
+        assert [(f.outcome, f.claims) for f in flat] == [(k, c) for k, _, c in want]
+        assert flat.elements.shape == (len(want), proto.layout.dim, proto.layout.dim)
+        for row, f, (_, el, _) in zip(flat.elements, flat, want):
+            assert np.array_equal(f.element, el) and np.array_equal(row, el)
+            assert np.shares_memory(f.element, flat.elements)
 
 
 def test_serialize_parse_roundtrip():

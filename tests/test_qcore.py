@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from antimark.qcore import (DEFAULT_TOL, PartyLayout, canonical_phase, kron,
+                            measurement_checks, measurement_failures,
                             min_eigenvalue, outcome_table, povm_residuals,
                             same_up_to_phase)
 
@@ -40,7 +41,7 @@ def test_hermitian_and_psd_checks():
     herm = np.array([[1.0, 1j], [-1j, 2.0]])
     low = 1.5 - math.sqrt(1.25)
     assert min_eigenvalue(herm) == pytest.approx(low)
-    assert min_eigenvalue(np.stack([herm, 2 * herm])) == pytest.approx(low)
+    assert min_eigenvalue(np.stack([herm, 2 * herm])) == pytest.approx([low, 2 * low])
 
     basis = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
     herm_res, comp, mineig = povm_residuals(basis)
@@ -80,7 +81,7 @@ def test_min_eigenvalue_takes_real_symmetric_stacks_to_the_real_solver(monkeypat
     for stack, dtype in ((real_sym, np.float64), (complex_herm, np.complex128),
                          (tiny, np.complex128)):
         seen.clear()
-        assert abs(min_eigenvalue(stack) - solver(stack)[:, 0].min()) <= 1e-12
+        assert np.max(np.abs(min_eigenvalue(stack) - solver(stack)[:, 0])) <= 1e-12
         assert seen == [dtype]
 
 
@@ -105,6 +106,47 @@ def test_kron_equals_numpy_kron_entry_for_entry():
         a = rng.normal(size=sa) + 1j * rng.normal(size=sa)
         b = rng.normal(size=sb) + 1j * rng.normal(size=sb)
         assert np.array_equal(kron(a, b), np.kron(a, b))
+
+
+def test_kron_broadcasts_over_leading_axes():
+    """Stacks of matrices pair up by broadcasting their leading axes, each
+    pair giving np.kron's entries exactly."""
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(3, 1, 2, 2)) + 1j * rng.normal(size=(3, 1, 2, 2))
+    b = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+    out = kron(a, b)
+    assert out.shape == (3, 4, 6, 6)
+    for i in range(3):
+        for j in range(4):
+            assert np.array_equal(out[i, j], np.kron(a[i, 0], b[j]))
+    assert np.array_equal(kron(a[0, 0], b), np.stack([np.kron(a[0, 0], m) for m in b]))
+
+
+def test_a_group_check_answers_as_each_povm_alone():
+    """measurement_checks over a group of POVMs, real and complex, good and
+    bad, gives every POVM the failures and residuals it gets alone, up to
+    the last bits of a sum or an eigenvalue."""
+    rng = np.random.default_rng(5)
+    q = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+    basis = [np.diag(np.eye(3)[k]) for k in range(3)]
+    rotated = [np.outer(q[:, k], q[:, k].conj()) for k in range(3)]
+    skew = [basis[0] + 1e-3 * np.eye(3, k=1), basis[1], basis[2]]
+    short = [0.9 * m for m in rotated]
+    negative = [basis[0] - 0.2 * np.eye(3), basis[1] + 0.2 * np.eye(3), basis[2]]
+    group = [basis, rotated, skew, short, negative, rotated[:1] + [np.eye(3) - rotated[0]]]
+    checks = measurement_checks(group, DEFAULT_TOL)
+    assert len(checks) == len(group)
+    for els, (failures, comp, mineig) in zip(group, checks):
+        try:
+            want, want_comp, want_min = measurement_failures(els, DEFAULT_TOL)
+        except ValueError as exc:
+            assert failures == [str(exc)] and math.isnan(comp) and math.isnan(mineig)
+            continue
+        assert [f.split()[0] for f in failures] == [f.split()[0] for f in want]
+        assert comp == pytest.approx(want_comp, abs=1e-15)
+        assert mineig == pytest.approx(want_min, abs=1e-15)
+    assert [len(f) for f, _, _ in checks] == [0, 0, 1, 1, 1, 0]
+    assert checks[2][0] == ["element 0 is not Hermitian"]
 
 
 def test_canonical_phase_pins_first_big_amplitude():
