@@ -1030,22 +1030,24 @@ def _as_ensemble(obj) -> Ensemble:
                     [f"s{i}" for i in range(len(vecs))], vecs)
 
 
-def _cover_plan(member: np.ndarray, alive: np.ndarray) -> list[int] | None:
-    """The greedy choice of route (4) of ``decide_antidist``, on triple
-    indices only: while a state is uncovered, the smallest uncovered state
-    takes, of the live triples that hold it, the one covering most uncovered
-    states (ties in enumeration order).  None when the live triples do not
-    reach every state."""
-    if not member[alive].any(axis=0).all():
-        return None
-    covered = np.zeros(member.shape[1], dtype=bool)
+def _cover_plan(idx: np.ndarray, alive: np.ndarray, k: int) -> list[int] | None:
+    """The greedy choice of route (3) of ``decide_antidist``, on the (T, 3)
+    index triples only: while a state is uncovered, the smallest uncovered
+    state takes, of the live triples that hold it, the one covering most
+    uncovered states (ties in enumeration order), found by one comparison
+    of the flattened triples with that state.  None when no live triple holds
+    it, so exactly when the live triples do not reach every state."""
+    covered = np.zeros(k, dtype=bool)
     plan = []
     while not covered.all():
         u = int(np.argmin(covered))
-        fresh = member[:, ~covered].sum(axis=1)
-        t = int(np.argmax(np.where(alive & member[:, u], fresh, -1)))
+        rows = np.flatnonzero(idx.ravel() == u) // 3
+        cand = rows[alive[rows]]
+        if not cand.size:
+            return None
+        t = int(cand[np.argmin(covered[idx[cand]].sum(axis=1))])
         plan.append(t)
-        covered |= member[t]
+        covered[idx[t]] = True
     return plan
 
 
@@ -1067,11 +1069,9 @@ def _triple_cover(e: Ensemble, tol: float
     checks one triple at a time whenever every triple passes its own check;
     a triple that would fail alone is kept when the union passes."""
     idx, alive, margins = _triple_screen(e.states, tol)
-    member = np.zeros((len(idx), e.n_states), dtype=bool)
-    member[np.arange(len(idx))[:, None], idx] = True
     kets = np.stack(e.states)
     check_tol = max(tol, 1e-10)
-    while (plan := _cover_plan(member, alive)) is not None:
+    while (plan := _cover_plan(idx, alive, e.n_states)) is not None:
         els, built = _triple_elements(kets, idx[plan], tol)
         if not built.all():
             alive[np.asarray(plan)[~built]] = False
@@ -1111,9 +1111,8 @@ def decide_antidist(ensemble, tol: float = DEFAULT_TOL, seed: int = 0,
     ``witness``, as every qubit_lp NO but a boundary one does.
     """
     e = _as_ensemble(ensemble)
-    k = e.n_states
 
-    if k == 3:
+    if e.n_states == 3:
         rep = caves_criterion(e.states, boundary_tol=tol)
         margins = [1.0 - rep.total, rep.quartic_lhs - rep.quartic_rhs]
         if not rep.passed:
@@ -1130,13 +1129,12 @@ def decide_antidist(ensemble, tol: float = DEFAULT_TOL, seed: int = 0,
         b = np.linalg.svd(kets, full_matrices=False)[2][:2]
         return _qubit_verdict(e, kets @ b.conj().T, b, tol)
 
-    if k >= 4:
-        cover = _triple_cover(e, tol)
-        if cover is not None:
-            triples, union, margins = cover
-            return Verdict("YES", "triple_cover", margins=margins, certificate=union,
-                           triples=[tuple(e.labels[i] for i in t) for t in triples],
-                           detail=f"{len(triples)} certified triples")
+    cover = _triple_cover(e, tol)
+    if cover is not None:
+        triples, union, margins = cover
+        return Verdict("YES", "triple_cover", margins=margins, certificate=union,
+                       triples=[tuple(e.labels[i] for i in t) for t in triples],
+                       detail=f"{len(triples)} certified triples")
 
     check_tol = max(tol, SEARCH_TOL)
     found = _search(e, restarts, iters, seed, check_tol)

@@ -1,6 +1,7 @@
 """Antidistinguishability criteria, certificates, and the decision routine."""
 
 import math
+import tracemalloc
 from functools import lru_cache
 from itertools import combinations
 
@@ -13,8 +14,9 @@ from antimark import exclusion, qcore
 from antimark.ensembles import (Ensemble, bell4, bennett9, duan4, nl1, pbr4,
                                 restrict, sequence_ensemble, sequence_local_part,
                                 sic4, su3, theta4, trine3, weak3)
-from antimark.exclusion import (Povm, _block_stacks, _core_answers, _factored_jacobian,
-                                _factored_residual, _hermitian_basis, _lift,
+from antimark.exclusion import (Povm, _block_stacks, _core_answers, _cover_plan,
+                                _factored_jacobian, _factored_residual,
+                                _hermitian_basis, _lift,
                                 _orthocomplement, _psd_project,
                                 _triple_basis, _triple_cover, _triple_elements,
                                 _triple_screen,
@@ -733,6 +735,65 @@ def test_triple_cover_margins_are_the_criterion_margins_of_the_chosen_triples():
                                              min(r.quartic_lhs - r.quartic_rhs for r in reps)],
                                    rtol=0, atol=1e-12, err_msg=e.name)
     assert covers >= 10
+
+
+def membership_plan(idx, alive, k):
+    """Reference greedy on a (T, k) membership matrix: None unless the live
+    triples reach every state; then, while a state is uncovered, the smallest
+    uncovered state takes the first live triple holding it that covers most
+    uncovered states."""
+    member = np.zeros((len(idx), k), dtype=bool)
+    member[np.arange(len(idx))[:, None], idx] = True
+    if not member[alive].any(axis=0).all():
+        return None
+    covered = np.zeros(k, dtype=bool)
+    plan = []
+    while not covered.all():
+        u = int(np.argmin(covered))
+        fresh = member[:, ~covered].sum(axis=1)
+        plan.append(int(np.argmax(np.where(alive & member[:, u], fresh, -1))))
+        covered |= member[plan[-1]]
+    return plan
+
+
+def test_cover_plan_matches_the_membership_greedy_with_dead_triples():
+    """The plan on index triples is the membership greedy's, tie order
+    included, on Haar ensembles with a seeded share of dead triples; it is
+    None exactly when some state lies in no live triple."""
+    rng = np.random.default_rng(77)
+    outcomes = set()
+    for k in range(4, 31):
+        for d in (3, 4, 5):
+            states = [haar(d, rng) for _ in range(k)]
+            idx, passed, _ = _triple_screen(states, 1e-9)
+            for dead in (0.0, 0.5, 0.9, 0.99):
+                alive = passed & (rng.random(len(idx)) >= dead)
+                before = alive.copy()
+                plan = _cover_plan(idx, alive, k)
+                assert plan == membership_plan(idx, alive, k), (k, d, dead)
+                assert (alive == before).all()
+                reached = np.zeros(k, dtype=bool)
+                reached[idx[alive].ravel()] = True
+                assert (plan is None) == (not reached.all()), (k, d, dead)
+                outcomes.add(plan is None)
+    assert outcomes == {True, False}
+
+
+def test_cover_plan_allocates_less_than_its_index_triples():
+    """Planning a k = 100 cover in C^6 (T = 161,700 triples) allocates less
+    than the (T, 3) index array itself, so nothing of size T x k."""
+    rng = np.random.default_rng(100)
+    k = 100
+    idx, alive, _ = _triple_screen([haar(6, rng) for _ in range(k)], 1e-9)
+    assert len(idx) == 161_700
+    tracemalloc.start()
+    try:
+        plan = _cover_plan(idx, alive, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan is not None and set(idx[plan].ravel().tolist()) == set(range(k))
+    assert peak < idx.nbytes < len(idx) * k
 
 
 # ---------------------------------------------------------------------------
